@@ -7,6 +7,11 @@ equivalence suite ``tests/sim/test_fast_path.py`` must exercise the
 pair.  This rule keeps that contract from rotting: a new ``*_fast`` /
 ``*_cached`` kernel without a resolvable slow counterpart, or one whose
 dispatcher never shows up in the equivalence suite, is a finding.
+
+Workload kernels (:data:`_KERNEL_FILES`) are reached from the simulator's
+own fast kernels rather than from a ``fast_path`` dispatch, so there the
+rule checks definitions: every ``*_fast`` / ``*_cached`` function needs a
+slow counterpart defined in the same module and a mention in the suite.
 """
 
 from __future__ import annotations
@@ -27,6 +32,9 @@ _SIM_FILES = {
     "src/repro/sim/pipeline.py",
     "src/repro/sim/functional.py",
 }
+
+#: workload modules whose fast kernels are checked where they are defined.
+_KERNEL_FILES = {"src/repro/workloads/sparsity.py"}
 
 #: the equivalence suite every dispatched kernel must be referenced by.
 _TEST_FILE = "tests/sim/test_fast_path.py"
@@ -109,7 +117,7 @@ class FastSlowParityRule(Rule):
     title = "fast-path kernels keep a slow-path oracle and an equivalence test"
 
     def applies_to(self, relpath: str) -> bool:
-        return relpath in _SIM_FILES
+        return relpath in _SIM_FILES or relpath in _KERNEL_FILES
 
     def check(self, module: ParsedModule, project: Project) -> Iterator[Finding]:
         defined = {
@@ -120,6 +128,8 @@ class FastSlowParityRule(Rule):
         imported = set(module.imports.imported_names)
         resolvable = defined | imported
         test_text = project.read_text(_TEST_FILE)
+        if module.relpath in _KERNEL_FILES:
+            yield from self._check_definitions(module, defined, test_text)
 
         collector = _DispatchCollector()
         collector.visit(module.tree)
@@ -160,3 +170,30 @@ class FastSlowParityRule(Rule):
                         f"by {_TEST_FILE}: add an equivalence test comparing "
                         f"'{fast_name}' against its slow-path oracle",
                     )
+
+    def _check_definitions(
+        self, module: ParsedModule, defined: set[str], test_text: str | None
+    ) -> Iterator[Finding]:
+        for node in ast.walk(module.tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if not node.name.endswith(_FAST_SUFFIXES):
+                continue
+            candidates = _counterpart_candidates(node.name) - {node.name}
+            if not candidates & defined:
+                yield self.finding(
+                    module,
+                    node,
+                    f"fast kernel '{node.name}' has no slow-path counterpart "
+                    f"in this module (expected one of "
+                    f"{', '.join(sorted(candidates))}): the reference "
+                    "implementation is the oracle and must be kept",
+                )
+            if test_text is None or not _word_in(test_text, node.name):
+                yield self.finding(
+                    module,
+                    node,
+                    f"fast kernel '{node.name}' is not referenced by "
+                    f"{_TEST_FILE}: add an equivalence test against its "
+                    "slow-path oracle",
+                )

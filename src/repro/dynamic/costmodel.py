@@ -3,9 +3,11 @@
 Every exit point of a registered early-exit variant gets two prices:
 
 - **Cycles/energy** -- the truncated spec (backbone prefix + head) is
-  run through the existing Executor/Speculator pipeline models via a
+  priced through the existing Executor/Speculator pipeline models via a
   :class:`~repro.sim.batching.BatchExecutor`, so exit costs use the
-  exact same simulation the serving tier bills with.  The final exit's
+  exact same simulation the serving tier bills with.  The executor's
+  per-layer cost ledger simulates each backbone layer of a sample once,
+  whichever exit asks first.  The final exit's
   truncated spec *is* the original backbone spec object, so full-depth
   costs degenerate bit-identically to the static model's (pinned by
   ``tests/dynamic/test_parity.py``).
@@ -97,10 +99,17 @@ class ExitCostModel:
 
     Composes a :class:`~repro.sim.batching.BatchExecutor` rather than
     re-deriving accelerator construction: the executor owns the
-    config/sparsity/memoization conventions, so exit prices are
+    config/sparsity conventions and the per-layer cost ledger
+    (:class:`~repro.sim.ledger.CostLedger`), so exit prices are
     bit-compatible with what the serving tier charges for the same
     (spec, stage, workload_seed) -- including the full-depth exit, which
-    shares the original spec object and therefore the original memo key.
+    shares the original spec object and therefore its ledger entries.
+
+    An exit is a prefix of one backbone computation: the ledger keys each
+    conv layer's cost on (layer spec, conv index, workload_seed, resolved
+    config), so an exit table simulates the full backbone once and every
+    side exit reuses its prefix, adding only the analytic speculation
+    step at its attach layer (nothing follows it).
 
     Args:
         executor: the pricing executor; defaults to a fresh

@@ -91,6 +91,11 @@ class EarlyExitModel:
 
     spec: ModelSpec
     exits: tuple = field(default_factory=tuple)
+    #: exit name -> truncated spec, so every request leaving at one exit
+    #: prices against one spec object (see :func:`truncated_spec`)
+    _truncated: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not self.exits:
@@ -187,8 +192,13 @@ def truncated_spec(model: EarlyExitModel, exit_name: str) -> ModelSpec:
     -- same name, same layers -- so its cost model reports are
     bit-identical to the static model's (the degeneration contract the
     parity suite pins).  For a side exit it is the backbone prefix up to
-    the attach layer plus the exit head.
+    the attach layer plus the exit head, built once per model and exit:
+    repeated calls return the same object, which keeps a memoized
+    report one identity lookup away (:class:`repro.sim.ledger.CostLedger`).
     """
+    cached = model._truncated.get(exit_name)
+    if cached is not None:
+        return cached
     point = model.exit_point(exit_name)
     if point is None:
         return model.spec
@@ -196,9 +206,9 @@ def truncated_spec(model: EarlyExitModel, exit_name: str) -> ModelSpec:
     attach = model.spec.layers[index]
     layers = list(model.spec.layers[: index + 1])
     layers.append(_head_spec(point, attach))
-    return ModelSpec(
-        f"{model.spec.name}@{point.name}", model.spec.domain, layers
-    )
+    spec = ModelSpec(f"{model.spec.name}@{point.name}", model.spec.domain, layers)
+    model._truncated[exit_name] = spec
+    return spec
 
 
 def reduced_width_spec(spec: ModelSpec, width: float) -> ModelSpec:

@@ -22,6 +22,9 @@ Cycle-level (tile-granular) simulation of the dual-module architecture:
 - :mod:`repro.sim.energy` / :mod:`repro.sim.area` -- energy and area
   models (Fig. 12e/f, Table I).
 - :mod:`repro.sim.accelerator` -- :class:`DuetAccelerator` top level.
+- :mod:`repro.sim.batching` / :mod:`repro.sim.sharding` -- batch and
+  sharded executors for the serving tiers, pricing per-sample reports
+  through :mod:`repro.sim.ledger`'s per-layer cost ledger.
 """
 
 from repro.sim.accelerator import DuetAccelerator

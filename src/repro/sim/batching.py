@@ -17,12 +17,17 @@ reuse: it pays its full staging cost plus the fixed dispatch overhead,
 which is why dynamic batching wins throughput -- dramatically so for the
 memory-bound RNNs of Fig. 12(d).
 
-Per-sample reports are memoized on ``(model, stage, workload_seed)``:
-the simulator is deterministic, so a seed that repeats across the
-campaign costs one simulation.  Memoization is disabled when a
-:class:`~repro.reliability.ReliabilityContext` is attached -- fault
-campaigns are stateful (injection budgets, monotone degradation), so
-every sample must really run.
+Per-sample reports come from a :class:`~repro.sim.ledger.CostLedger`,
+which prices each CNN layer once per ``(layer spec, conv index,
+workload_seed, resolved stage config)``: the simulator is deterministic
+and maps are seeded per layer, so a seed that repeats across the campaign
+costs one simulation, and an early exit reuses the backbone prefix its
+full model shares (and vice versa).  ``stage=None`` and a stage naming
+the executor's own configuration resolve to one config and share entries.
+A repeated ``(spec, stage, workload_seed)`` is one dict lookup.  The
+ledger is bypassed when a :class:`~repro.reliability.ReliabilityContext`
+is attached -- fault campaigns are stateful (injection budgets, monotone
+degradation), so every sample must really run.
 """
 
 from __future__ import annotations
@@ -32,7 +37,9 @@ from dataclasses import dataclass, field, replace
 
 from repro.models.layer_spec import ModelSpec
 from repro.models.registry import get_model_spec
+from repro.sim.accelerator import DuetAccelerator
 from repro.sim.config import DuetConfig, stage_config
+from repro.sim.ledger import CostLedger
 from repro.workloads.sparsity import SparsityModel
 
 __all__ = ["BatchExecutor", "BatchResult", "ServiceModel", "WorkerPool"]
@@ -96,6 +103,10 @@ class BatchExecutor:
             campaign's state (and its monotone degradation) accumulates
             across the batch.
         service: the batch service-time model.
+        ledger: the :class:`~repro.sim.ledger.CostLedger` to price
+            through; pass another executor's ``ledger`` to share its
+            priced layers and reports (a plan search's probe executors
+            do).  A fresh ledger by default.
     """
 
     def __init__(
@@ -106,6 +117,7 @@ class BatchExecutor:
         sparsity: SparsityModel | None = None,
         reliability=None,
         service: ServiceModel | None = None,
+        ledger: CostLedger | None = None,
     ):
         self.config = config if config is not None else DuetConfig()
         self.energy_model = energy_model
@@ -113,7 +125,8 @@ class BatchExecutor:
         self.sparsity = sparsity if sparsity is not None else SparsityModel()
         self.reliability = reliability
         self.service = service if service is not None else ServiceModel()
-        self._cache: dict[tuple[str, str | None, int], object] = {}
+        self.ledger = ledger if ledger is not None else CostLedger()
+        self._pricing: dict[str | None, int] = {}
         self._specs: dict[str, ModelSpec] = {}
 
     def _resolve(self, model: str | ModelSpec) -> ModelSpec:
@@ -134,24 +147,32 @@ class BatchExecutor:
             stage: degradation-ladder rung to serve at; None uses the
                 executor's configuration unchanged.
         """
-        from repro.sim.accelerator import DuetAccelerator  # avoid import cycle
-
         spec = self._resolve(model)
-        key = (spec.name, stage, workload_seed)
-        if self.reliability is None and key in self._cache:
-            return self._cache[key]
-        cfg = self.config if stage is None else stage_config(stage, base=self.config)
+        if self.reliability is not None:
+            return self._run_guarded(spec, workload_seed, stage)
+        pricing = self._pricing.get(stage)
+        if pricing is None:
+            pricing = self._pricing[stage] = self.ledger.pricing(
+                self._stage_config(stage),
+                self.energy_model,
+                self.reduction,
+                self.sparsity,
+            )
+        return self.ledger.report(spec, pricing, workload_seed)
+
+    def _stage_config(self, stage: str | None) -> DuetConfig:
+        return self.config if stage is None else stage_config(stage, base=self.config)
+
+    def _run_guarded(self, spec: ModelSpec, workload_seed: int, stage: str | None):
+        """One sample under the reliability context, never memoized."""
         accelerator = DuetAccelerator(
-            config=cfg,
+            config=self._stage_config(stage),
             energy_model=self.energy_model,
             reduction=self.reduction,
             sparsity=replace(self.sparsity, seed=workload_seed),
             reliability=self.reliability,
         )
-        report = accelerator.run(spec)
-        if self.reliability is None:
-            self._cache[key] = report
-        return report
+        return accelerator.run(spec)
 
     def execute(
         self,

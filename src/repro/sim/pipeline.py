@@ -16,11 +16,12 @@ Implements paper Section IV:
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.models.layer_spec import BYTES_PER_ELEMENT, ModelSpec
+from repro.models.layer_spec import BYTES_PER_ELEMENT, FCSpec, ModelSpec
 from repro.sim.config import DuetConfig
 from repro.sim.dram import Dram
 from repro.sim.energy import EnergyBreakdown, EnergyModel
@@ -38,7 +39,7 @@ from repro.workloads.sparsity import (
 if TYPE_CHECKING:  # avoid a runtime cycle with repro.reliability
     from repro.reliability.context import ReliabilityContext
 
-__all__ = ["CnnPipeline", "RnnPipeline"]
+__all__ = ["CnnPipeline", "LayerCost", "RnnPipeline"]
 
 #: local-buffer accesses charged per executed MAC (operand read + psum
 #: read-modify-write amortised under row-stationary reuse).
@@ -63,6 +64,30 @@ class _UnitCache:
             units = (ExecutorModel(cfg), SpeculatorModel(cfg))
             self._units[cfg] = units
         return units
+
+
+@dataclass(frozen=True)
+class LayerCost:
+    """The speculation-independent cost of one CNN layer.
+
+    Everything a layer costs except the speculation it overlaps: the
+    Executor's cycles and MACs, the GLB-constrained DRAM traffic, and the
+    energy of all that (speculator terms zero).  It depends only on the
+    layer's own workload and configuration, so an early exit and the full
+    backbone share it for every layer they have in common
+    (:class:`repro.sim.ledger.CostLedger` prices each such layer once).
+    :meth:`CnnPipeline.finish_layer` adds the overlapped speculation of the
+    next layer to make the :class:`~repro.sim.report.LayerReport`.
+    """
+
+    name: str
+    executor_cycles: int
+    memory_cycles: int
+    executed_macs: int
+    dense_macs: int
+    utilization: float
+    energy: EnergyBreakdown
+    dram_bytes: int
 
 
 class CnnPipeline:
@@ -92,13 +117,13 @@ class CnnPipeline:
         self._units = _UnitCache()
         self.executor, self.speculator = self._units(self.config)
 
-    def _speculation_for(self, workload, cfg: DuetConfig):
-        """Speculation cost of producing ``workload``'s switching maps."""
+    def _speculation_for(self, spec, cfg: DuetConfig):
+        """Speculation cost of producing layer ``spec``'s switching maps."""
         _, speculator = self._units(cfg)
-        if isinstance(workload, FcLayerWorkload):
-            return speculator.fc_layer(workload.spec, self.reduction)
+        if isinstance(spec, FCSpec):
+            return speculator.fc_layer(spec, self.reduction)
         return speculator.cnn_layer(
-            workload.spec, self.reduction, with_reorder=cfg.enable_adaptive_mapping
+            spec, self.reduction, with_reorder=cfg.enable_adaptive_mapping
         )
 
     def _conv_costs(self, workload: CnnLayerWorkload, cfg: DuetConfig):
@@ -154,8 +179,114 @@ class CnnPipeline:
             write_words,
         )
 
+    def layer_cost(
+        self, workload, cfg: DuetConfig, dram: Dram, glb: GlobalBuffer
+    ) -> LayerCost:
+        """The speculation-independent cost of one CONV or FC layer.
+
+        Charges the layer's DRAM traffic to ``dram`` and its GLB reads to
+        ``glb``; under a fault-free channel both are stateless, so the
+        cost is a pure function of ``workload`` and ``cfg``.
+        """
+        spec = workload.spec
+        if isinstance(workload, FcLayerWorkload):
+            (
+                exec_cycles,
+                executed,
+                dense,
+                utilization,
+                read_words,
+                write_words,
+            ) = self._fc_costs(workload, cfg)
+        else:
+            (
+                exec_cycles,
+                executed,
+                dense,
+                utilization,
+                read_words,
+                write_words,
+            ) = self._conv_costs(workload, cfg)
+
+        dram_words = read_words + write_words
+        memory_cycles = dram.read(read_words * BYTES_PER_ELEMENT) + dram.write(
+            write_words * BYTES_PER_ELEMENT
+        )
+        glb_words = dram_words + (
+            spec.output_elements // 8 if cfg.enable_output_switching else 0
+        )  # switching-map bits
+        glb.read(glb_words * BYTES_PER_ELEMENT)
+
+        # every on-chip word moved traverses the Y-bus plus one X-bus
+        noc_hops = 2 * glb_words
+        energy = EnergyBreakdown(
+            executor_compute=executed * self.energy_model.mac_int16,
+            executor_local=executed
+            * _LOCAL_ACCESSES_PER_MAC
+            * self.energy_model.local_access,
+            glb=glb_words * self.energy_model.glb_access,
+            noc=noc_hops * self.energy_model.noc_hop,
+            dram=dram_words * self.energy_model.dram_access,
+        )
+        return LayerCost(
+            name=spec.name,
+            executor_cycles=exec_cycles,
+            memory_cycles=memory_cycles,
+            executed_macs=executed,
+            dense_macs=dense,
+            utilization=utilization,
+            energy=energy,
+            dram_bytes=dram_words * BYTES_PER_ELEMENT,
+        )
+
+    def finish_layer(self, cost: LayerCost, next_spec, cfg: DuetConfig) -> LayerReport:
+        """The layer's report: ``cost`` overlapped with the speculation of
+        the next layer.
+
+        While this layer executes, the Speculator produces the switching
+        maps of ``next_spec`` (paper Fig. 7); there is nothing to speculate
+        after the last layer (``next_spec`` None).  Speculation depends
+        only on the next layer's shape, never on its maps.
+        """
+        spec_cycles = 0
+        spec_energy_compute = 0.0
+        spec_energy_buffers = 0.0
+        if cfg.enable_output_switching and next_spec is not None:
+            spec_cost = self._speculation_for(next_spec, cfg)
+            spec_cycles = spec_cost.cycles
+            spec_energy_compute, spec_energy_buffers = spec_cost.energy(
+                self.energy_model
+            )
+        exec_cycles = cost.executor_cycles
+        if cfg.enable_pipeline:
+            compute_cycles = max(exec_cycles, spec_cycles)
+            exposed = max(0, spec_cycles - exec_cycles)
+        else:
+            compute_cycles = exec_cycles + spec_cycles
+            exposed = spec_cycles
+        return LayerReport(
+            name=cost.name,
+            executor_cycles=exec_cycles,
+            speculator_cycles=spec_cycles,
+            exposed_speculation_cycles=exposed,
+            memory_cycles=cost.memory_cycles,
+            compute_cycles=compute_cycles,
+            total_cycles=max(compute_cycles, cost.memory_cycles),
+            executed_macs=cost.executed_macs,
+            dense_macs=cost.dense_macs,
+            utilization=cost.utilization,
+            energy=replace(
+                cost.energy,
+                speculator_compute=spec_energy_compute,
+                speculator_buffers=spec_energy_buffers,
+            ),
+            dram_bytes=cost.dram_bytes,
+        )
+
     def run(self, model: ModelSpec, workloads: list) -> ModelReport:
         """Simulate the (CONV and optionally FC) layers of ``model``.
+
+        Each layer is :meth:`layer_cost` then :meth:`finish_layer`.
 
         Args:
             model: the model spec (used for naming and speculation shapes).
@@ -180,90 +311,11 @@ class CnnPipeline:
             cfg_now = ctx.effective_config(cfg) if ctx else cfg
             if ctx:
                 workload = ctx.process_cnn_workload(i, workload, cfg_now)
-            speculation_on = cfg_now.enable_output_switching
-            spec = workload.spec
-            if isinstance(workload, FcLayerWorkload):
-                (
-                    exec_cycles,
-                    executed,
-                    dense,
-                    utilization,
-                    read_words,
-                    write_words,
-                ) = self._fc_costs(workload, cfg_now)
-            else:
-                (
-                    exec_cycles,
-                    executed,
-                    dense,
-                    utilization,
-                    read_words,
-                    write_words,
-                ) = self._conv_costs(workload, cfg_now)
-
-            # Speculation task overlapped with this layer: switching maps
-            # for layer i+1 (paper Fig. 7); nothing to speculate after the
-            # last layer.
-            spec_cycles = 0
-            spec_energy_compute = 0.0
-            spec_energy_buffers = 0.0
-            if speculation_on and i + 1 < len(workloads):
-                spec_cost = self._speculation_for(workloads[i + 1], cfg_now)
-                spec_cycles = spec_cost.cycles
-                spec_energy_compute, spec_energy_buffers = spec_cost.energy(
-                    self.energy_model
-                )
-
-            dram_words = read_words + write_words
-            dram_bytes = dram_words * BYTES_PER_ELEMENT
-            memory_cycles = dram.read(read_words * BYTES_PER_ELEMENT) + dram.write(
-                write_words * BYTES_PER_ELEMENT
-            )
-
-            glb_words = dram_words + (
-                spec.output_elements // 8 if speculation_on else 0
-            )  # switching-map bits
-            glb.read(glb_words * BYTES_PER_ELEMENT)
-
-            if cfg_now.enable_pipeline:
-                compute_cycles = max(exec_cycles, spec_cycles)
-                exposed = max(0, spec_cycles - exec_cycles)
-            else:
-                compute_cycles = exec_cycles + spec_cycles
-                exposed = spec_cycles
-            total_cycles = max(compute_cycles, memory_cycles)
-
-            # every on-chip word moved traverses the Y-bus plus one X-bus
-            noc_hops = 2 * glb_words
-            energy = EnergyBreakdown(
-                executor_compute=executed * self.energy_model.mac_int16,
-                executor_local=executed
-                * _LOCAL_ACCESSES_PER_MAC
-                * self.energy_model.local_access,
-                speculator_compute=spec_energy_compute,
-                speculator_buffers=spec_energy_buffers,
-                glb=glb_words * self.energy_model.glb_access,
-                noc=noc_hops * self.energy_model.noc_hop,
-                dram=dram_words * self.energy_model.dram_access,
-            )
-            report.layers.append(
-                LayerReport(
-                    name=spec.name,
-                    executor_cycles=exec_cycles,
-                    speculator_cycles=spec_cycles,
-                    exposed_speculation_cycles=exposed,
-                    memory_cycles=memory_cycles,
-                    compute_cycles=compute_cycles,
-                    total_cycles=total_cycles,
-                    executed_macs=executed,
-                    dense_macs=dense,
-                    utilization=utilization,
-                    energy=energy,
-                    dram_bytes=dram_bytes,
-                )
-            )
+            cost = self.layer_cost(workload, cfg_now, dram, glb)
+            following = workloads[i + 1].spec if i + 1 < len(workloads) else None
+            report.layers.append(self.finish_layer(cost, following, cfg_now))
             if ctx:
-                ctx.finalize_layer(spec.name)
+                ctx.finalize_layer(workload.spec.name)
         if ctx:
             report.reliability = ctx.summary()
         return report

@@ -151,27 +151,3 @@ class ModelReport:
             if report.name == name:
                 return report
         raise KeyError(f"report for {self.model_name!r} has no layer {name!r}")
-
-    def prefix(self, layer_name: str) -> "ModelReport":
-        """The report restricted to layers up to and including
-        ``layer_name``.
-
-        Every aggregate on :class:`ModelReport` is a per-layer sum, so a
-        prefix view prices "the network stopped after this layer" exactly
-        -- the exit-aware cost model uses it to attribute backbone cycles
-        and energy to early-exit attach points.
-
-        Raises:
-            KeyError: if no layer has that name.
-        """
-        for index, report in enumerate(self.layers):
-            if report.name == layer_name:
-                return ModelReport(
-                    model_name=self.model_name,
-                    config=self.config,
-                    layers=self.layers[: index + 1],
-                    reliability=self.reliability,
-                )
-        raise KeyError(
-            f"report for {self.model_name!r} has no layer {layer_name!r}"
-        )

@@ -33,7 +33,8 @@ fraction.
 
 Everything here is an analytic layer over the per-sample
 :class:`~repro.sim.report.ModelReport` the
-:class:`~repro.sim.batching.BatchExecutor` already memoizes, so
+:class:`~repro.sim.batching.BatchExecutor` prices through its cost
+ledger, so
 sharded pricing inherits the simulator's determinism: the same plan,
 model, stage, and workload seeds always price identically.
 """
@@ -425,7 +426,7 @@ def plan_for(
     Args:
         model: model name or spec.
         shards: chips available to the shard group.
-        executor: the executor whose cost model (and report cache) the
+        executor: the executor whose cost model (and cost ledger) the
             search prices against.
         stage: degradation-ladder rung to price at (None = configured).
         link_bandwidth: inter-chip link bytes per cycle.
@@ -461,9 +462,8 @@ def plan_for(
             reduction=executor.reduction,
             sparsity=executor.sparsity,
             service=executor.service,
+            ledger=executor.ledger,
         )
-        probe._cache = executor._cache  # share the memoized reports
-        probe._specs = executor._specs
         cycles = probe.execute(spec, seeds, stage=stage).service_cycles
         if best_cycles is None or cycles < best_cycles:
             best, best_cycles = plan, cycles

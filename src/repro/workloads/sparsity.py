@@ -180,14 +180,127 @@ class CnnLayerWorkload:
     # -- vectorized fast-path kernels ---------------------------------------
     #
     # The methods below compute exactly the same integers as their
-    # reference counterparts (``channel_tile_cycles``,
-    # ``channel_tile_switch_counts``, ``int(channel_macs(...).sum())``) but
-    # avoid materializing the (C_out, positions) int64 intermediate: the
-    # OMap stays uint8 and the per-tile aggregation runs as one batched
-    # einsum contraction over the tile axis.  Results are memoized on the
-    # workload (the maps are immutable inputs to a simulation run), so a
-    # DUET-vs-BASE sweep or a repeated benchmark pays for each kernel once.
-    # All arithmetic is integer, hence bit-identical to the reference.
+    # reference counterparts (``position_cycles``, ``position_costs``,
+    # ``channel_tile_cycles``, ``channel_tile_switch_counts``,
+    # ``int(channel_macs(...).sum())``) but never materialize the float32
+    # im2col of the IMap or the (C_out, positions) int64 intermediate: window
+    # counts come from an integral image of the IMap, the OMap stays uint8
+    # and the per-tile aggregation runs as one batched einsum contraction
+    # over the tile axis.  Results are memoized on the workload (the maps are
+    # immutable inputs to a simulation run), so a DUET-vs-BASE sweep or a
+    # repeated benchmark pays for each kernel once.  All arithmetic is
+    # integer, hence bit-identical to the reference.
+
+    def _integral(self, planes: np.ndarray) -> np.ndarray:
+        """Integral images of zero-padded ``(N, H, W)`` planes.
+
+        ``integral[n, y, x]`` sums plane ``n`` above and left of padded
+        position ``(y, x)``.  Planes hold per-position counts over at most
+        ``C_in`` channels, so a sum never exceeds ``C_in`` times the padded
+        plane size: int32 unless that bound could overflow it.
+        """
+        pad = self.spec.padding
+        count, height, width = planes.shape
+        shape = (count, height + 2 * pad + 1, width + 2 * pad + 1)
+        bound = self.imap.shape[0] * shape[1] * shape[2]
+        integral = np.zeros(shape, dtype=np.int32 if bound < 2**31 else np.int64)
+        integral[:, pad + 1 : pad + 1 + height, pad + 1 : pad + 1 + width] = planes
+        np.cumsum(integral, axis=1, out=integral)
+        np.cumsum(integral, axis=2, out=integral)
+        return integral
+
+    def _window_box(self, integral, top, bottom, left, right) -> np.ndarray:
+        """Box sums over rows ``[top, bottom)`` x cols ``[left, right)`` of
+        every receptive window, shape ``(N, positions)``."""
+        s = self.spec.stride
+        rows, cols = s * self.spec.out_h, s * self.spec.out_w
+
+        def corner(y, x):
+            return integral[:, y : y + rows : s, x : x + cols : s]
+
+        box = (
+            corner(bottom, right)
+            - corner(top, right)
+            - corner(bottom, left)
+            + corner(top, left)
+        )
+        return box.reshape(integral.shape[0], -1)
+
+    def position_costs_fast(self) -> np.ndarray:
+        """Integer equivalent of :meth:`position_costs` (bit-identical).
+
+        The nonzero count of a receptive window summed over input channels
+        is the window box sum of the channel-summed IMap.
+        """
+        key = ("costs_fast",)
+        if key not in self._slice_cache:
+            k = self.spec.kernel
+            total = self.imap.sum(axis=0, dtype=np.int32)[None]
+            self._slice_cache[key] = (
+                self._window_box(self._integral(total), 0, k, 0, k)[0]
+                .astype(np.int64)
+                .reshape(self.spec.out_h, self.spec.out_w)
+            )
+        return self._slice_cache[key]
+
+    def position_cycles_fast(self, cols_per_row: int, use_imap: bool) -> np.ndarray:
+        """Integer equivalent of :meth:`position_cycles` (bit-identical).
+
+        A PE slice is a contiguous range of the receptive field in
+        ``(C_in, kh, kw)`` order, so its nonzero count is the difference of
+        two prefix counts at the slice boundaries.  A boundary at channel
+        ``c``, offset ``j`` inside the ``kh x kw`` window, counts every
+        nonzero of channels ``0 .. c-1`` in the window -- a window box sum
+        of those channels' summed planes -- plus the first ``j`` window
+        elements of channel ``c``: ``j // kw`` whole window rows and
+        ``j % kw`` elements of the next row, two box sums of channel ``c``.
+        Only the <= ``cols_per_row + 1`` boundary planes are ever summed.
+        """
+        receptive = self.spec.receptive_field
+        dense_cycles = -(-receptive // cols_per_row)  # ceil
+        positions = self.spec.out_h * self.spec.out_w
+        if not use_imap:
+            return np.full(positions, dense_cycles, dtype=np.int64)
+        key = ("slice_fast", cols_per_row)
+        if key not in self._slice_cache:
+            k = self.spec.kernel
+            channels = self.imap.shape[0]
+            bounds = [
+                divmod(min(b * dense_cycles, receptive), k * k)
+                for b in range(cols_per_row + 1)
+            ]
+            # prefix planes: planes[i] sums channels 0 .. cuts[i]-1; the
+            # last boundary is the whole receptive field (channel C, offset 0)
+            cuts = sorted({c for c, _ in bounds if c < channels})
+            planes = np.zeros((len(cuts) + 1,) + self.imap.shape[1:], np.int32)
+            np.cumsum(
+                np.add.reduceat(self.imap, cuts, axis=0, dtype=np.int32),
+                axis=0,
+                out=planes[1:],
+            )
+            before = self._window_box(self._integral(planes), 0, k, 0, k)
+            self._slice_cache.setdefault(
+                ("costs_fast",),
+                before[-1].astype(np.int64).reshape(self.spec.out_h, self.spec.out_w),
+            )
+            plane_of = {c: i for i, c in enumerate(cuts)}
+            plane_of[channels] = len(cuts)
+            split = sorted({c for c, offset in bounds if offset})
+            own = self._integral(self.imap[split]) if split else None
+            prefix = np.empty((cols_per_row + 1, positions), dtype=np.int64)
+            for b, (channel, offset) in enumerate(bounds):
+                prefix[b] = before[plane_of[channel]]
+                if offset:
+                    rows, rest = divmod(offset, k)
+                    plane = own[split.index(channel)][None]
+                    if rows:
+                        prefix[b] += self._window_box(plane, 0, rows, 0, k)[0]
+                    if rest:
+                        prefix[b] += self._window_box(
+                            plane, rows, rows + 1, 0, rest
+                        )[0]
+            self._slice_cache[key] = np.diff(prefix, axis=0).max(axis=0)
+        return self._slice_cache[key]
 
     def _padded_tiles(self, tile_positions: int) -> np.ndarray:
         """OMap as uint8 tiles ``(C_out, S, tile_positions)`` (zero-padded)."""
@@ -227,7 +340,7 @@ class CnnLayerWorkload:
         key = ("tiles_fast", cols_per_row, use_output_switching, use_imap, tile_positions)
         if key in self._slice_cache:
             return self._slice_cache[key]
-        cycles = self.position_cycles(cols_per_row, use_imap)
+        cycles = self.position_cycles_fast(cols_per_row, use_imap)
         positions = cycles.shape[0]
         num_tiles = -(-positions // tile_positions)
         pad = num_tiles * tile_positions - positions
@@ -276,7 +389,7 @@ class CnnLayerWorkload:
             return self._slice_cache[key]
         positions = self.spec.out_h * self.spec.out_w
         if use_imap:
-            costs = self.position_costs().reshape(-1).astype(np.int64)
+            costs = self.position_costs_fast().reshape(-1)
             if use_output_switching:
                 per_position = self.omap.reshape(
                     self.spec.out_channels, -1

@@ -31,6 +31,7 @@ class TestViolationsTree:
         assert grouped["src/repro/cli.py"] == Counter({"CLI001": 2})
         assert grouped["src/repro/bench/writer.py"] == Counter({"SCH001": 3})
         assert grouped["src/repro/sim/executor.py"] == Counter({"PAR001": 2})
+        assert grouped["src/repro/workloads/sparsity.py"] == Counter({"PAR001": 2})
         assert grouped["src/repro/sim/config.py"] == Counter({"CFG001": 3})
         assert grouped["src/repro/parallel_rng.py"] == Counter({"PAR002": 2})
         assert grouped["src/repro/serving/retrier.py"] == Counter({"REL003": 3})
@@ -45,6 +46,7 @@ class TestViolationsTree:
             "src/repro/cli.py",
             "src/repro/bench/writer.py",
             "src/repro/sim/executor.py",
+            "src/repro/workloads/sparsity.py",
             "src/repro/sim/config.py",
             "src/repro/parallel_rng.py",
             "src/repro/serving/retrier.py",

@@ -110,9 +110,7 @@ class TestShardedPricing:
     SEEDS = [0, 1]
 
     def test_unsplit_plan_matches_batch_executor(self, executor):
-        plain = BatchExecutor()
-        plain._cache = executor._cache
-        plain._specs = executor._specs
+        plain = BatchExecutor(ledger=executor.ledger)
         sharded = executor.execute("lstm", self.SEEDS)
         assert sharded.service_cycles == plain.execute(
             "lstm", self.SEEDS
@@ -121,10 +119,9 @@ class TestShardedPricing:
 
     def test_pricing_is_deterministic(self, executor):
         probe = ShardedExecutor(
-            plans={"lstm": ShardPlan(kind="tensor", shards=2)}
+            plans={"lstm": ShardPlan(kind="tensor", shards=2)},
+            ledger=executor.ledger,
         )
-        probe._cache = executor._cache
-        probe._specs = executor._specs
         first = probe.execute("lstm", self.SEEDS)
         second = probe.execute("lstm", self.SEEDS)
         assert first.service_cycles == second.service_cycles
@@ -132,10 +129,9 @@ class TestShardedPricing:
 
     def test_tensor_split_is_symmetric(self, executor):
         probe = ShardedExecutor(
-            plans={"lstm": ShardPlan(kind="tensor", shards=4)}
+            plans={"lstm": ShardPlan(kind="tensor", shards=4)},
+            ledger=executor.ledger,
         )
-        probe._cache = executor._cache
-        probe._specs = executor._specs
         result = probe.execute("lstm", self.SEEDS)
         assert len(result.shard_busy_cycles) == 4
         assert len(set(result.shard_busy_cycles)) == 1
@@ -144,10 +140,9 @@ class TestShardedPricing:
         # the LM has two layers; a 4-way pipeline clamps to one stage
         # per layer and the surplus chips record zero busy cycles
         probe = ShardedExecutor(
-            plans={"lstm": ShardPlan(kind="pipeline", shards=4)}
+            plans={"lstm": ShardPlan(kind="pipeline", shards=4)},
+            ledger=executor.ledger,
         )
-        probe._cache = executor._cache
-        probe._specs = executor._specs
         result = probe.execute("lstm", self.SEEDS)
         assert len(result.shard_busy_cycles) == 4
         assert result.shard_busy_cycles[2:] == [0, 0]
@@ -156,24 +151,23 @@ class TestShardedPricing:
     def test_link_contention_never_helps(self, executor):
         cheap = ShardedExecutor(
             plans={"lstm": ShardPlan(kind="tensor", shards=2,
-                                     link_bandwidth=64)}
+                                     link_bandwidth=64)},
+            ledger=executor.ledger,
         )
         dear = ShardedExecutor(
             plans={"lstm": ShardPlan(kind="tensor", shards=2,
-                                     link_bandwidth=1)}
+                                     link_bandwidth=1)},
+            ledger=executor.ledger,
         )
-        for probe in (cheap, dear):
-            probe._cache = executor._cache
-            probe._specs = executor._specs
         assert (
             cheap.execute("lstm", self.SEEDS).service_cycles
             <= dear.execute("lstm", self.SEEDS).service_cycles
         )
 
     def test_colocation_costs_memory(self, executor):
-        together = ShardedExecutor(colocated=("alexnet", "lstm"))
-        together._cache = executor._cache
-        together._specs = executor._specs
+        together = ShardedExecutor(
+            colocated=("alexnet", "lstm"), ledger=executor.ledger
+        )
         alone = executor.execute("lstm", self.SEEDS).service_cycles
         shared = together.execute("lstm", self.SEEDS).service_cycles
         assert shared > alone
@@ -190,9 +184,7 @@ class TestPlanSearch:
     def test_search_returns_cheapest_candidate(self, executor):
         seeds = [0, 1]
         best = plan_for("lstm", 2, executor, reference_batch=len(seeds))
-        probe = ShardedExecutor(plans={"lstm": best})
-        probe._cache = executor._cache
-        probe._specs = executor._specs
+        probe = ShardedExecutor(plans={"lstm": best}, ledger=executor.ledger)
         chosen = probe.execute("lstm", seeds).service_cycles
         unsplit = executor.execute("lstm", seeds).service_cycles
         assert chosen <= unsplit

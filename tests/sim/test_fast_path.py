@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import cli
@@ -116,6 +116,134 @@ class TestExecutorFastPath:
         second = model.cnn_layer(workload)
         assert first.cycles == second.cycles
         assert first.executed_macs == second.executed_macs
+
+
+def _zoo_conv_shapes():
+    """Every distinct conv shape of the registered CNNs."""
+    from repro.models.registry import MODEL_REGISTRY
+
+    shapes = {}
+    for name in sorted(MODEL_REGISTRY):
+        spec = get_model_spec(name)
+        if spec.domain != "cnn":
+            continue
+        for layer in spec.conv_layers:
+            key = (layer.in_channels, layer.kernel, layer.stride,
+                   layer.padding, layer.in_h, layer.in_w)
+            shapes.setdefault(key, layer)
+    return list(shapes.values())
+
+
+def _imap_workload(spec, imap, seed=0):
+    rng = np.random.default_rng(seed)
+    omap = (rng.random((spec.out_channels, spec.out_h, spec.out_w)) < 0.4).astype(
+        np.uint8
+    )
+    return CnnLayerWorkload(spec, omap, imap)
+
+
+def _assert_windows_identical(workload, cols=(16,)):
+    """Integer window counts (fast) vs the float32 im2col oracle."""
+    reference = CnnLayerWorkload(workload.spec, workload.omap, workload.imap)
+    for cols_per_row in cols:
+        fast = workload.position_cycles_fast(cols_per_row, use_imap=True)
+        slow = reference.position_cycles(cols_per_row, use_imap=True)
+        assert fast.dtype == slow.dtype == np.int64
+        assert np.array_equal(fast, slow)
+    costs = workload.position_costs_fast()
+    assert costs.dtype == np.int64
+    assert np.array_equal(costs, reference.position_costs().astype(np.int64))
+
+
+#: edge shapes: 1x1 kernels, AlexNet-style 11x11/stride 4/padding 2, and
+#: receptive fields that are not a multiple of the PE-row width.
+EDGE_SHAPES = [
+    ConvSpec("k1", 5, 4, 1, 1, 0, 7, 7),
+    ConvSpec("k1_s2", 9, 4, 1, 2, 0, 9, 9),
+    ConvSpec("k11_s4_p2", 3, 4, 11, 4, 2, 35, 35),
+    ConvSpec("r27", 3, 4, 3, 1, 1, 8, 8),
+    ConvSpec("r45_s2", 5, 4, 3, 2, 1, 11, 11),
+    ConvSpec("r175_p0", 7, 4, 5, 1, 0, 9, 12),
+]
+
+
+class TestWindowCountsFastPath:
+    """``position_cycles_fast`` / ``position_costs_fast`` (integral-image
+    window counts) against the float32 im2col oracle ``position_cycles`` /
+    ``position_costs``."""
+
+    @pytest.mark.parametrize(
+        "spec", _zoo_conv_shapes(), ids=lambda s: f"{s.name}-{s.in_channels}x{s.in_h}"
+    )
+    def test_every_zoo_conv_shape(self, spec):
+        rng = np.random.default_rng(spec.in_channels + spec.in_h)
+        imap = (rng.random((spec.in_channels, spec.in_h, spec.in_w)) < 0.35).astype(
+            np.uint8
+        )
+        _assert_windows_identical(_imap_workload(spec, imap), cols=(16, 7))
+
+    @pytest.mark.parametrize("spec", EDGE_SHAPES, ids=lambda s: s.name)
+    @pytest.mark.parametrize("fill", ["random", "zeros", "ones"])
+    def test_edge_shapes(self, spec, fill):
+        shape = (spec.in_channels, spec.in_h, spec.in_w)
+        if fill == "zeros":
+            imap = np.zeros(shape, dtype=np.uint8)
+        elif fill == "ones":
+            imap = np.ones(shape, dtype=np.uint8)
+        else:
+            imap = (np.random.default_rng(5).random(shape) < 0.5).astype(np.uint8)
+        _assert_windows_identical(_imap_workload(spec, imap), cols=(1, 4, 16, 64))
+
+    @pytest.mark.parametrize("model", ["alexnet", "vgg16", "resnet18", "resnet50"])
+    def test_dense_first_layer(self, model):
+        spec = get_model_spec(model).conv_layers[0]
+        workload = SparsityModel(seed=1).cnn_layer(spec, 0)
+        assert workload.imap.all()
+        _assert_windows_identical(workload, cols=(16, 5))
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(1, 9),  # C_in
+        st.sampled_from([1, 2, 3, 5, 7]),  # kernel
+        st.integers(1, 4),  # stride
+        st.integers(0, 3),  # padding
+        st.integers(7, 15),  # H
+        st.integers(7, 15),  # W
+        st.floats(0.0, 1.0),
+        st.sampled_from([1, 3, 4, 16]),  # PE columns
+        st.integers(0, 10_000),
+    )
+    def test_random_shapes(self, c_in, k, stride, pad, h, w, density, cols, seed):
+        assume(k <= min(h, w) + 2 * pad)
+        spec = ConvSpec("c", c_in, 3, k, stride, pad, h, w)
+        rng = np.random.default_rng(seed)
+        imap = (rng.random((c_in, h, w)) < density).astype(np.uint8)
+        _assert_windows_identical(_imap_workload(spec, imap, seed), cols=(cols,))
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        conv_shapes,
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from([1, 3, 8]),
+        st.integers(0, 10_000),
+    )
+    def test_tile_aggregates_identical(self, shape, out_sw, in_sw, tile, seed):
+        """``channel_tile_cycles_fast`` / ``channel_tile_switch_counts_fast``
+        against ``channel_tile_cycles`` / ``channel_tile_switch_counts``."""
+        fast = _workload(shape, 0.4, 0.4, seed)
+        slow = CnnLayerWorkload(fast.spec, fast.omap, fast.imap)
+        assert np.array_equal(
+            fast.channel_tile_cycles_fast(16, out_sw, in_sw, tile),
+            slow.channel_tile_cycles(16, out_sw, in_sw, tile),
+        )
+        assert np.array_equal(
+            fast.channel_tile_switch_counts_fast(tile),
+            slow.channel_tile_switch_counts(tile),
+        )
+        assert fast.executed_macs_total(out_sw, in_sw) == int(
+            slow.channel_macs(out_sw, in_sw).sum()
+        )
 
 
 class TestPeFastPath:
