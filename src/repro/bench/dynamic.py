@@ -53,7 +53,7 @@ from repro.dynamic.exits import early_exit_variants, reduced_width_spec
 from repro.parallel import CampaignTask, run_sharded, spawn_task_seeds
 from repro.serving.admission import AdmissionConfig
 from repro.serving.batcher import BatchPolicy
-from repro.serving.fleet import AutoscalerPolicy, FleetConfig, FleetSimulator
+from repro.serving.fleet import AutoscalerPolicy, FleetConfig, simulate_fleet
 from repro.serving.loadgen import TraceConfig, generate_trace
 from repro.serving.quality import QualityPolicy
 from repro.sim.batching import BatchExecutor
@@ -303,7 +303,7 @@ def _serving_scenario(scenario: dict, trace_seed: int, fast_path: bool) -> dict:
             seed=trace_seed,
         )
     )
-    result = FleetSimulator(config=config).run(trace=trace)
+    result = simulate_fleet(trace, config=config)
     summary = result.summary.as_dict()
     return {
         "kind": "scenario",

@@ -56,11 +56,11 @@ from repro.serving.batcher import BatchPolicy
 from repro.serving.fleet import (
     AutoscalerPolicy,
     FleetConfig,
-    FleetSimulator,
     initial_fleet_size,
+    simulate_fleet,
 )
 from repro.serving.loadgen import ClosedLoopConfig, TraceConfig, generate_trace
-from repro.sim.sharding import ShardedExecutor, plan_for
+from repro.sim.sharding import plan_for
 from repro.sim.batching import BatchExecutor
 from repro.sim.config import DuetConfig
 
@@ -219,7 +219,6 @@ def _fleet_scenario(
     Top-level so the engine can pickle it into worker processes.
     """
     config = _fleet_config(scenario, fast_path)
-    simulator = FleetSimulator(config=config)
     if scenario["mode"] == "closed":
         population = ClosedLoopConfig(
             clients=scenario["clients"],
@@ -227,7 +226,7 @@ def _fleet_scenario(
             models=_MIX,
             seed=client_seed,
         )
-        result = simulator.run(closed_loop=population)
+        result = simulate_fleet(population, config=config)
         offered_target = scenario["clients"] * scenario["requests_per_client"]
     else:
         trace = generate_trace(
@@ -238,7 +237,7 @@ def _fleet_scenario(
                 seed=trace_seed,
             )
         )
-        result = simulator.run(trace=trace)
+        result = simulate_fleet(trace, config=config)
         offered_target = scenario["requests"]
     return {
         "name": scenario["name"],

@@ -10,17 +10,17 @@ workers that shed capability down the reliability subsystem's ladder
 rejected.  Every run closes with a full SLO account -- p50/p95/p99
 latency, throughput, reject and degrade rates, per-rung serve counts.
 
-Entry points:
+Entry points, all three run by one discrete-event core
+(:class:`~repro.serving.server.ServingLoop`):
 
-- :func:`simulate_serving` / :class:`ServingSimulator` -- replay a trace.
-- :func:`simulate_chaos` / :class:`FaultTolerantSimulator` -- the same
-  front end over a *faulty* fleet (crash/hang/straggle) with retries,
-  hedging, circuit breakers, and health-checked respawn
-  (:mod:`repro.serving.faulttol`).
-- :func:`simulate_fleet` / :class:`FleetSimulator` -- the fleet tier:
-  N sharded servers (:mod:`repro.sim.sharding`) behind a router
-  with per-model SLO classes, priority scheduling, occupancy-driven
-  autoscaling, and closed-loop clients (:mod:`repro.serving.fleet`).
+- :func:`simulate_serving` -- replay a trace.
+- :func:`simulate_chaos` -- the same front end over a *faulty* pool
+  (crash/hang/straggle) with retries, hedging, circuit breakers, and
+  health-checked respawn (:mod:`repro.serving.faulttol`).
+- :func:`simulate_fleet` -- the fleet tier: N sharded servers
+  (:mod:`repro.sim.sharding`) behind a router with per-model SLO
+  classes, priority scheduling, occupancy-driven autoscaling, and
+  closed-loop clients (:mod:`repro.serving.fleet`).
 - :func:`generate_trace` -- seeded Poisson / bursty arrival traces.
 - ``python -m repro serve`` -- one campaign, human-readable SLO report.
 - ``python -m repro loadgen`` -- the scenario campaign behind
@@ -40,7 +40,6 @@ from repro.serving.faulttol import (
     POLICY_LADDER,
     BreakerPolicy,
     FaultTolerancePolicy,
-    FaultTolerantSimulator,
     HealthPolicy,
     HedgePolicy,
     RetryPolicy,
@@ -50,7 +49,6 @@ from repro.serving.fleet import (
     DEFAULT_SLO_CLASSES,
     AutoscalerPolicy,
     FleetConfig,
-    FleetSimulator,
     PriorityBatcher,
     SloClass,
     initial_fleet_size,
@@ -72,11 +70,7 @@ from repro.serving.request import (
     Request,
     RequestRecord,
 )
-from repro.serving.server import (
-    ServerConfig,
-    ServingSimulator,
-    simulate_serving,
-)
+from repro.serving.server import ServerConfig, simulate_serving
 from repro.sim.sharding import (
     GlbPartition,
     ShardPlan,
@@ -86,7 +80,7 @@ from repro.sim.sharding import (
     plan_for,
 )
 from repro.serving.slo import percentile, summarize
-from repro.sim.batching import BatchExecutor, BatchResult, WorkerPool
+from repro.sim.batching import BatchExecutor, BatchResult
 
 __all__ = [
     "ARRIVAL_PROCESSES",
@@ -102,9 +96,7 @@ __all__ = [
     "DEFAULT_SLO_CLASSES",
     "DynamicBatcher",
     "FaultTolerancePolicy",
-    "FaultTolerantSimulator",
     "FleetConfig",
-    "FleetSimulator",
     "GlbPartition",
     "HealthPolicy",
     "HedgePolicy",
@@ -120,13 +112,11 @@ __all__ = [
     "RetryPolicy",
     "SERVING_LADDER",
     "ServerConfig",
-    "ServingSimulator",
     "ShardPlan",
     "ShardedExecutor",
     "SloClass",
     "TokenBucket",
     "TraceConfig",
-    "WorkerPool",
     "generate_trace",
     "glb_partition",
     "initial_fleet_size",

@@ -14,13 +14,22 @@ latency SLOs, exact on small samples, and free of interpolation noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.reporting import format_percent
 from repro.serving.overload import SERVING_LADDER
 from repro.serving.request import RequestRecord
 
-__all__ = ["SloSummary", "percentile", "summarize"]
+__all__ = [
+    "SloSummary",
+    "distribution",
+    "exit_account",
+    "percentile",
+    "reason_counts",
+    "span_cycles",
+    "stage_counts",
+    "summarize",
+]
 
 #: The percentile points every summary reports.
 _POINTS = (50, 95, 99)
@@ -41,7 +50,7 @@ def percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[rank - 1]
 
 
-def _distribution(values_ms: list[float]) -> dict:
+def distribution(values_ms: list[float]) -> dict:
     """p50/p95/p99/mean/max of a latency sample, in milliseconds."""
     if not values_ms:
         return {f"p{q}": None for q in _POINTS} | {"mean": None, "max": None}
@@ -50,6 +59,55 @@ def _distribution(values_ms: list[float]) -> dict:
     dist["mean"] = sum(ordered) / len(ordered)
     dist["max"] = ordered[-1]
     return dist
+
+
+def reason_counts(records: list[RequestRecord]) -> dict:
+    """Reject/fail reason -> count over ``records``."""
+    counts: dict = {}
+    for r in records:
+        reason = r.reject_reason or "unknown"
+        counts[reason] = counts.get(reason, 0) + 1
+    return counts
+
+
+def span_cycles(records: list[RequestRecord]) -> int:
+    """Cycles from the first arrival to the last terminal event."""
+    start = min((r.request.arrival_cycle for r in records), default=0)
+    end = max(
+        (
+            r.completion_cycle if r.completion_cycle is not None
+            else r.request.arrival_cycle
+            for r in records
+        ),
+        default=0,
+    )
+    return max(end - start, 0)
+
+
+def stage_counts(
+    completed: list[RequestRecord], ladder: tuple[str, ...] = SERVING_LADDER
+) -> dict:
+    """Ladder rung -> completed requests served there (zeros included)."""
+    counts = {stage: 0 for stage in ladder}
+    for r in completed:
+        if r.stage is not None:
+            counts[r.stage] = counts.get(r.stage, 0) + 1
+    return counts
+
+
+def exit_account(completed: list[RequestRecord]) -> dict:
+    """Early exits, mean exit depth and mean estimated accuracy drop of
+    the completed requests (1.0 and 0.0 for an empty sample)."""
+    n = len(completed)
+    return {
+        "early_exits": sum(1 for r in completed if r.exited_early),
+        "mean_exit_depth": (
+            sum(r.exit_depth for r in completed) / n if n else 1.0
+        ),
+        "mean_quality_drop": (
+            sum(r.quality_drop for r in completed) / n if n else 0.0
+        ),
+    }
 
 
 @dataclass(frozen=True)
@@ -177,59 +235,34 @@ def summarize(
     to_ms = lambda cycles: cycles / clock_hz * 1e3  # noqa: E731
     completed = [r for r in records if r.completed]
     rejected = [r for r in records if not r.completed]
-    rejects_by_reason: dict = {}
-    for r in rejected:
-        reason = r.reject_reason or "unknown"
-        rejects_by_reason[reason] = rejects_by_reason.get(reason, 0) + 1
-
-    start = min((r.request.arrival_cycle for r in records), default=0)
-    end = max(
-        (
-            r.completion_cycle if r.completion_cycle is not None
-            else r.request.arrival_cycle
-            for r in records
-        ),
-        default=0,
-    )
-    duration_cycles = max(end - start, 0)
+    duration_cycles = span_cycles(records)
     duration_s = duration_cycles / clock_hz
 
     batches = sum(1.0 / r.batch_size for r in completed if r.batch_size)
     batches = int(round(batches))
-    stage_counts = {stage: 0 for stage in ladder}
-    for r in completed:
-        if r.stage is not None:
-            stage_counts[r.stage] = stage_counts.get(r.stage, 0) + 1
+    stages = stage_counts(completed, ladder)
     degraded = sum(
-        count for stage, count in stage_counts.items() if stage != ladder[0]
+        count for stage, count in stages.items() if stage != ladder[0]
     )
-    early_exits = sum(1 for r in completed if r.exited_early)
+    exits = exit_account(completed)
 
     return SloSummary(
         offered=len(records),
         completed=len(completed),
         rejected=len(rejected),
         reject_rate=len(rejected) / len(records) if records else 0.0,
-        rejects_by_reason=rejects_by_reason,
+        rejects_by_reason=reason_counts(rejected),
         duration_ms=to_ms(duration_cycles),
         throughput_rps=len(completed) / duration_s if duration_s > 0 else 0.0,
-        latency_ms=_distribution([to_ms(r.latency_cycles) for r in completed]),
-        queue_ms=_distribution([to_ms(r.queue_cycles) for r in completed]),
+        latency_ms=distribution([to_ms(r.latency_cycles) for r in completed]),
+        queue_ms=distribution([to_ms(r.queue_cycles) for r in completed]),
         batches=batches,
         mean_batch_size=len(completed) / batches if batches else 0.0,
-        stage_counts=stage_counts,
+        stage_counts=stages,
         degraded=degraded,
         degrade_rate=degraded / len(completed) if completed else 0.0,
-        early_exits=early_exits,
-        early_exit_rate=early_exits / len(completed) if completed else 0.0,
-        mean_exit_depth=(
-            sum(r.exit_depth for r in completed) / len(completed)
-            if completed
-            else 1.0
+        early_exit_rate=(
+            exits["early_exits"] / len(completed) if completed else 0.0
         ),
-        mean_quality_drop=(
-            sum(r.quality_drop for r in completed) / len(completed)
-            if completed
-            else 0.0
-        ),
+        **exits,
     )

@@ -19,7 +19,6 @@ from repro.serving import (
     ClosedLoopConfig,
     DEFAULT_SLO_CLASSES,
     FleetConfig,
-    FleetSimulator,
     PriorityBatcher,
     Request,
     SloClass,
@@ -53,11 +52,10 @@ def uniform_trace(n, gap_cycles, model="lstm"):
     ]
 
 
-def run_fleet(trace=None, closed_loop=None, config=None, **stub_kwargs):
-    simulator = FleetSimulator(
-        config=config, executor=StubShardedExecutor(**stub_kwargs)
+def run_fleet(workload, config=None, **stub_kwargs):
+    return simulate_fleet(
+        workload, config=config, executor=StubShardedExecutor(**stub_kwargs)
     )
-    return simulator.run(trace=trace, closed_loop=closed_loop)
 
 
 class TestSloClass:
@@ -148,13 +146,15 @@ class TestPriorityBatcher:
 
 class TestFleetSimulation:
     def test_requires_exactly_one_workload(self):
-        simulator = FleetSimulator(executor=StubShardedExecutor())
-        with pytest.raises(ValueError, match="exactly one"):
-            simulator.run()
-        with pytest.raises(ValueError, match="exactly one"):
-            simulator.run(
-                trace=uniform_trace(1, MS), closed_loop=ClosedLoopConfig()
-            )
+        with pytest.raises(ValueError, match="needs a workload"):
+            simulate_fleet(None, executor=StubShardedExecutor())
+
+    def test_open_loop_keeps_trace_rids(self):
+        # a slice of a longer trace keeps its rids, as in the other tiers
+        trace = uniform_trace(110, gap_cycles=3 * MS)[100:]
+        result = run_fleet(trace)
+        assert [r.request.rid for r in result.records] == list(range(100, 110))
+        assert [r.request for r in result.records] == trace
 
     def test_priority_class_dispatches_first(self):
         # both queues flush at the same cycle; the interactive model
@@ -168,7 +168,7 @@ class TestFleetSimulation:
             Request(0, "lstm", arrival_cycle=0, workload_seed=0),
             Request(1, "alexnet", arrival_cycle=0, workload_seed=0),
         ]
-        result = run_fleet(trace=trace, config=config)
+        result = run_fleet(trace, config=config)
         hot, bulk = result.records[1], result.records[0]
         assert hot.completed and bulk.completed
         assert hot.dispatch_cycle < bulk.dispatch_cycle
@@ -179,7 +179,7 @@ class TestFleetSimulation:
             autoscaler=AutoscalerPolicy.fixed(1),
         )
         result = run_fleet(
-            trace=uniform_trace(40, gap_cycles=1), config=config,
+            uniform_trace(40, gap_cycles=1), config=config,
             service_cycles=20 * MS,
         )
         assert result.summary.rejected > 0
@@ -202,7 +202,7 @@ class TestFleetSimulation:
         # queue backs up past the scale-out threshold, then drains once
         # the pool has grown
         result = run_fleet(
-            trace=uniform_trace(60, gap_cycles=1000), config=config,
+            uniform_trace(60, gap_cycles=1000), config=config,
             service_cycles=1 * MS,
         )
         actions = [event["action"] for event in result.scale_events]
@@ -216,9 +216,7 @@ class TestFleetSimulation:
 
     def test_fixed_policy_never_scales(self):
         config = FleetConfig(autoscaler=AutoscalerPolicy.fixed(2))
-        result = run_fleet(
-            trace=uniform_trace(30, gap_cycles=1000), config=config
-        )
+        result = run_fleet(uniform_trace(30, gap_cycles=1000), config=config)
         assert result.scale_events == []
         assert result.peak_servers == 2
 
@@ -226,23 +224,21 @@ class TestFleetSimulation:
         population = ClosedLoopConfig(
             clients=6, requests_per_client=10, think_time_us=500.0
         )
-        result = run_fleet(closed_loop=population)
+        result = run_fleet(population)
         assert result.summary.offered == 60
         assert result.summary.completed + result.summary.rejected == 60
 
     def test_deterministic_across_runs(self):
         population = ClosedLoopConfig(clients=5, requests_per_client=8, seed=3)
-        first = run_fleet(closed_loop=population)
-        second = run_fleet(closed_loop=population)
+        first = run_fleet(population)
+        second = run_fleet(population)
         assert first.records == second.records
         assert first.scale_events == second.scale_events
         assert first.server_stats == second.server_stats
         assert first.goodput_rps == second.goodput_rps
 
     def test_server_stats_track_shard_busy(self):
-        result = run_fleet(
-            trace=uniform_trace(10, gap_cycles=3 * MS), shards=3
-        )
+        result = run_fleet(uniform_trace(10, gap_cycles=3 * MS), shards=3)
         worked = [s for s in result.server_stats if s["shard_busy_cycles"]]
         assert worked
         assert all(len(s["shard_busy_cycles"]) == 3 for s in worked)

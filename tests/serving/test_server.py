@@ -9,20 +9,25 @@ import json
 
 import pytest
 
+from repro.reliability.workerfaults import WorkerFaultModel
 from repro.serving import (
     AdmissionConfig,
     BatchExecutor,
     BatchPolicy,
     BatchResult,
+    FleetConfig,
     OverloadPolicy,
+    QualityPolicy,
     Request,
     ServerConfig,
-    ServingSimulator,
     TraceConfig,
-    WorkerPool,
+    policy_named,
+    simulate_fleet,
     simulate_serving,
 )
+from repro.serving.faulttol import simulate_chaos
 from repro.sim.config import DuetConfig
+from repro.sim.sharding import ShardedExecutor
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -52,25 +57,6 @@ def uniform_trace(n, gap_cycles, model="lstm"):
         Request(rid=i, model=model, arrival_cycle=i * gap_cycles, workload_seed=0)
         for i in range(n)
     ]
-
-
-class TestWorkerPool:
-    def test_acquire_release_cycle(self):
-        pool = WorkerPool(2)
-        assert pool.idle == 2
-        assert pool.acquire() == 0
-        assert pool.acquire() == 1
-        with pytest.raises(RuntimeError):
-            pool.acquire()
-        pool.release(0)
-        assert pool.acquire() == 0
-
-    def test_release_guards(self):
-        pool = WorkerPool(1)
-        with pytest.raises(ValueError):
-            pool.release(5)
-        with pytest.raises(ValueError):
-            pool.release(0)  # already idle
 
 
 class TestAccounting:
@@ -184,6 +170,43 @@ class TestDegradationUnderLoad:
             executor=StubExecutor(),
         )
         assert result.summary.degraded == 0
+
+
+class TestQualityNeedsExitAwareExecutor:
+    """An enabled quality policy on a static executor fails at set-up
+    in every tier instead of silently serving full depth."""
+
+    def test_plain(self):
+        with pytest.raises(ValueError, match="exit-aware"):
+            simulate_serving(
+                uniform_trace(4, gap_cycles=1_000),
+                config=ServerConfig(quality=QualityPolicy()),
+                executor=StubExecutor(),
+            )
+
+    def test_chaos(self):
+        with pytest.raises(ValueError, match="exit-aware"):
+            simulate_chaos(
+                uniform_trace(4, gap_cycles=1_000),
+                config=ServerConfig(quality=QualityPolicy()),
+                faults=WorkerFaultModel(),
+                policy=policy_named("retry"),
+                executor=BatchExecutor(),
+            )
+
+    def test_fleet(self):
+        with pytest.raises(ValueError, match="exit-aware"):
+            simulate_fleet(
+                uniform_trace(4, gap_cycles=1_000),
+                config=FleetConfig(quality=QualityPolicy()),
+                executor=ShardedExecutor(),
+            )
+
+    def test_default_executors_are_exit_aware(self):
+        trace = uniform_trace(4, gap_cycles=1_000)
+        served = simulate_serving(trace, config=ServerConfig(quality=QualityPolicy()))
+        fleet = simulate_fleet(trace, config=FleetConfig(quality=QualityPolicy()))
+        assert served.summary.completed == fleet.summary.completed == 4
 
 
 class TestDeterminism:
