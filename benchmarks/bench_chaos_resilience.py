@@ -10,14 +10,14 @@ rate.  Shards across ``DUET_JOBS`` worker processes (results are
 byte-identical for any count).
 """
 
-from repro.bench.chaos import run_chaos_bench
+from repro.bench import BENCH_CAMPAIGNS, run_campaign
 from repro.serving import POLICY_LADDER
 
 
 def test_chaos_policy_ladder(benchmark, report, jobs):
     document = benchmark.pedantic(
-        lambda: run_chaos_bench(
-            smoke=True, root_seed=0, jobs=jobs, output=None, with_perf=False
+        lambda: run_campaign(
+            BENCH_CAMPAIGNS["chaos"], smoke=True, seed=0, jobs=jobs, with_perf=False
         ),
         rounds=1,
         iterations=1,

@@ -10,18 +10,15 @@ quality-aware shedding to check goodput dominance.  Shards across
 count).
 """
 
-from repro.bench.dynamic import (
-    PARETO_MAX_DROP,
-    PARETO_MIN_REDUCTION,
-    run_dynamic_bench,
-)
+from repro.bench import BENCH_CAMPAIGNS, run_campaign
+from repro.bench.dynamic import PARETO_MAX_DROP, PARETO_MIN_REDUCTION
 from repro.dynamic import early_exit_variants
 
 
 def test_dynamic_campaign(benchmark, report, jobs):
     document = benchmark.pedantic(
-        lambda: run_dynamic_bench(
-            smoke=True, root_seed=0, jobs=jobs, output=None, with_perf=False
+        lambda: run_campaign(
+            BENCH_CAMPAIGNS["dynamic"], smoke=True, seed=0, jobs=jobs, with_perf=False
         ),
         rounds=1,
         iterations=1,

@@ -403,7 +403,7 @@ def run_lint(
         )
         for i, shard in enumerate(shards)
     ]
-    run = run_sharded(tasks, jobs=jobs, clock=None, warm=False)
+    run = run_sharded(tasks, jobs=jobs, clock=None)
     for payloads, shard_scanned, hits, misses in run.results:
         raw.extend(Finding.from_payload(p) for p in payloads)
         scanned += shard_scanned

@@ -45,18 +45,10 @@ Every simulated quantity is a pure function of ``(grid, root seed)``:
 
 from __future__ import annotations
 
-import time
-from pathlib import Path
+import operator
 
-from repro.bench.document import (
-    append_history,
-    deterministic_view,
-    history_entry,
-    perf_block,
-    write_document,
-)
-from repro.core.cache import cache_stats
-from repro.parallel import CampaignTask, run_sharded, spawn_task_seeds
+from repro.bench.campaign import Campaign, verdict_history
+from repro.parallel import CampaignTask, spawn_task_seeds
 from repro.reliability.workerfaults import WorkerFaultModel
 from repro.serving.admission import AdmissionConfig
 from repro.serving.batcher import BatchPolicy
@@ -75,13 +67,13 @@ from repro.serving.server import ServerConfig
 from repro.sim.config import DuetConfig
 
 __all__ = [
+    "CAMPAIGN",
     "CHAOS_SCHEMA",
     "FAULT_RATES",
     "SMOKE_FAULT_RATES",
     "chaos_cells",
     "chaos_fault_model",
     "chaos_policy",
-    "run_chaos_bench",
 ]
 
 #: schema identifier written into BENCH_chaos.json.
@@ -256,65 +248,33 @@ def _monotone_per_policy(records: list[dict]) -> dict:
     return verdicts
 
 
-def run_chaos_bench(
-    smoke: bool = False,
-    root_seed: int = 0,
-    workers: int = _WORKERS,
-    fast_path: bool = True,
-    jobs: int = 1,
-    output: str | Path | None = "BENCH_chaos.json",
-    with_perf: bool = True,
-    progress=None,
-) -> dict:
-    """Run the chaos campaign and (optionally) write ``BENCH_chaos.json``.
-
-    Args:
-        smoke: CI-sized sweep (2 rates x 4 policies, 120 requests/cell)
-            instead of the full grid (4 x 4, 400 requests/cell).
-        root_seed: campaign root.  The shared trace is seeded with it
-            directly; the shared fault seed is its first
-            ``SeedSequence.spawn`` child (independent of ``jobs``).
-        workers: simulated accelerators in the fleet.
-        fast_path: simulate on the vectorized fast path (True) or the
-            per-event slow-path oracle (False).
-        jobs: worker processes; cells shard across them via
-            :mod:`repro.parallel` and merge in grid order, so simulated
-            quantities are identical for any value.
-        output: JSON path, or None to skip writing.
-        with_perf: record the ``perf`` block and ``history`` trail;
-            ``False`` (the CLI's ``--no-perf``) emits the
-            :func:`~repro.bench.document.deterministic_view` so
-            documents from different worker counts compare
-            byte-identical.
-        progress: optional callable invoked with each cell record, in
-            grid order, after the shard completes.
-
-    Returns:
-        The full ``duet-chaos/1`` document (also written to ``output``).
-    """
-    cells = chaos_cells(smoke)
-    (fault_seed,) = spawn_task_seeds(root_seed, 1)
-    tasks = [
+def _tasks(
+    smoke: bool = False, seed: int = 0, workers: int = _WORKERS, fast_path: bool = True
+) -> list[CampaignTask]:
+    """One task per grid cell.  The shared trace is seeded with the root
+    ``seed`` directly; the shared fault seed is its first
+    ``SeedSequence.spawn`` child (independent of ``jobs``)."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    (fault_seed,) = spawn_task_seeds(seed, 1)
+    return [
         CampaignTask(
             index=i,
             fn=_chaos_cell,
             kwargs={
                 **cell,
                 "fault_seed": fault_seed,
-                "trace_seed": root_seed,
+                "trace_seed": seed,
                 "smoke": smoke,
                 "workers": workers,
                 "fast_path": fast_path,
             },
         )
-        for i, cell in enumerate(cells)
+        for i, cell in enumerate(chaos_cells(smoke))
     ]
-    run = run_sharded(tasks, jobs=jobs, clock=time.perf_counter, stats=cache_stats)
-    records = run.results
-    if progress is not None:
-        for record in records:
-            progress(record)
 
+
+def _summarize(records: list[dict], params: dict) -> dict:
     rates = sorted({r["fault_rate"] for r in records})
     max_rate = rates[-1]
 
@@ -326,13 +286,12 @@ def run_chaos_bench(
         )
 
     baseline, full_stack = POLICY_LADDER[0], POLICY_LADDER[-1]
-    monotone = _monotone_per_policy(records)
-    document = {
+    return {
         "schema": CHAOS_SCHEMA,
-        "smoke": smoke,
-        "root_seed": root_seed,
-        "workers": workers,
-        "fast_path": fast_path,
+        "smoke": params["smoke"],
+        "root_seed": params["seed"],
+        "workers": params["workers"],
+        "fast_path": params["fast_path"],
         "policies": list(POLICY_LADDER),
         "fault_rates": rates,
         "cells": records,
@@ -364,29 +323,68 @@ def run_chaos_bench(
             "dominance": goodput(full_stack, max_rate) > goodput(baseline, max_rate),
         },
         "diagnostics": {
-            "goodput_monotone_per_policy": monotone,
+            "goodput_monotone_per_policy": _monotone_per_policy(records),
         },
     }
-    if with_perf:
-        perf = perf_block(run)
-        document["perf"] = perf
-        append_history(
-            document,
-            output,
-            CHAOS_SCHEMA,
-            {
-                **history_entry(document, ("smoke",)),
-                "zero_lost": document["verdicts"]["zero_lost"],
-                "zero_duplicates": document["verdicts"]["zero_duplicates"],
-                "dominance": document["verdicts"]["dominance"],
-                "jobs": perf["jobs"],
-                "wall_s": perf["wall_s"],
-                "worker_efficiency": perf["worker_efficiency"],
-                "speedup_vs_serial_est": perf["speedup_vs_serial_est"],
-            },
-        )
-    else:
-        document = deterministic_view(document)
-    if output is not None:
-        write_document(document, output, CHAOS_SCHEMA)
-    return document
+
+
+def _row(record: dict) -> str:
+    summary = record["summary"]
+    p99 = summary["latency_ms"]["p99"]
+    p99_text = f"{p99:9.3f}" if p99 is not None else f"{'n/a':>9s}"
+    return (
+        f"{record['policy']:>22s} {record['fault_rate']:6.2f} "
+        f"{summary['completed']:5d} {summary['failed']:5d} "
+        f"{summary['rejected']:5d} {summary['goodput_rps']:8.1f} "
+        f"{p99_text} {summary['retries']:6d} {summary['hedges']:6d} "
+        f"{summary['breaker_opens']:6d} {summary['evictions']:6d} "
+        f"{summary['lost']:5d} {summary['duplicates']:4d}\n"
+    )
+
+
+def _trailer(document: dict, output: str, jobs: int) -> str:
+    verdicts = document["verdicts"]
+    dominance = document["dominance"]
+    return (
+        f"conservation: zero_lost={verdicts['zero_lost']} "
+        f"zero_duplicates={verdicts['zero_duplicates']}\n"
+        f"dominance at fault rate {dominance['fault_rate']}: "
+        f"{dominance['full_stack_policy']} "
+        f"{dominance['full_stack_goodput_rps']:.1f} req/s vs "
+        f"{dominance['baseline_policy']} "
+        f"{dominance['baseline_goodput_rps']:.1f} req/s "
+        f"({'holds' if verdicts['dominance'] else 'FAILS'}); "
+        f"results in {output}\n"
+    )
+
+
+def _flags(parser) -> None:
+    parser.add_argument(
+        "--workers", type=int, default=_WORKERS,
+        help="simulated accelerators in the fleet",
+    )
+
+
+#: ``python -m repro chaos``.
+CAMPAIGN = Campaign(
+    name="chaos",
+    schema=CHAOS_SCHEMA,
+    output="BENCH_chaos.json",
+    help=(
+        "run the fault-tolerant serving sweep (fault rate x recovery "
+        "policy), write BENCH_chaos.json"
+    ),
+    smoke_help="CI-sized sweep (2 rates, 120 requests/cell) instead of full",
+    tasks=_tasks,
+    summarize=_summarize,
+    history=verdict_history,
+    header=(
+        f"{'policy':>22s} {'fault':>6s} {'done':>5s} {'fail':>5s} {'rej':>5s} "
+        f"{'req/s':>8s} {'p99 ms':>9s} {'retry':>6s} {'hedge':>6s} "
+        f"{'opens':>6s} {'evict':>6s} {'lost':>5s} {'dup':>4s}\n"
+    ),
+    row=_row,
+    trailer=_trailer,
+    verdicts=operator.itemgetter("verdicts"),
+    flags=_flags,
+)

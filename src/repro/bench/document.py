@@ -1,7 +1,8 @@
 """Shared bench-document plumbing: determinism views, history, emission.
 
-Every bench writer (``BENCH_duet.json``, ``BENCH_serving.json``,
-``BENCH_faults.json``) shares three concerns this module centralises:
+Every bench writer (the ``BENCH_*.json`` documents of
+:mod:`repro.bench.campaign`) shares three concerns this module
+centralises:
 
 - **Determinism contract.**  The simulated quantities in a document are
   byte-deterministic functions of the run's inputs; wall-clock timings
@@ -10,12 +11,12 @@ Every bench writer (``BENCH_duet.json``, ``BENCH_serving.json``,
   contract-equal iff their views serialise identically --
   ``--jobs 1`` vs ``--jobs N``, or this PR vs the last.  Writers that
   pass ``--no-perf`` omit the stripped keys entirely and their files
-  compare byte-identical with ``cmp``.
+  compare byte-identical with ``cmp``; :func:`first_diff` names the
+  first leaf where two views part.
 - **Perf block.**  :func:`perf_block` renders one
   :class:`repro.parallel.ShardedRun` into the ``perf`` object recorded
   in the documents: wall clock, summed worker-busy seconds (an estimate
-  of the serial wall time), worker efficiency, the estimated speedup,
-  and the cache hit/miss/evict counters aggregated across workers.
+  of the serial wall time), worker efficiency and the estimated speedup.
 - **History + atomic emission.**  :func:`write_document` appends a
   compact ``history`` entry (carried over from the previous file when
   its schema matches) so speedups are tracked across PRs, validates the
@@ -35,6 +36,7 @@ from repro.parallel import ShardedRun
 __all__ = [
     "NONDETERMINISTIC_KEYS",
     "deterministic_view",
+    "first_diff",
     "perf_block",
     "history_entry",
     "append_history",
@@ -72,6 +74,33 @@ def deterministic_view(node):
     return node
 
 
+def first_diff(a, b, path: str = "$") -> str | None:
+    """Path of the first differing leaf between two JSON-like values.
+
+    ``None`` when they are equal.  Dicts must share their key set and
+    lists/tuples their length; a type change is a difference.
+    """
+    if type(a) is not type(b):
+        return path
+    if isinstance(a, dict):
+        if sorted(a) != sorted(b):
+            return path
+        for key in a:
+            diff = first_diff(a[key], b[key], f"{path}.{key}")
+            if diff is not None:
+                return diff
+        return None
+    if isinstance(a, (list, tuple)):
+        if len(a) != len(b):
+            return path
+        for i, (x, y) in enumerate(zip(a, b)):
+            diff = first_diff(x, y, f"{path}[{i}]")
+            if diff is not None:
+                return diff
+        return None
+    return None if a == b else path
+
+
 def perf_block(run: ShardedRun) -> dict:
     """The ``perf`` object recorded in bench documents.
 
@@ -93,7 +122,6 @@ def perf_block(run: ShardedRun) -> dict:
         "worker_busy_s": run.worker_busy_s,
         "worker_efficiency": run.worker_efficiency,
         "speedup_vs_serial_est": run.speedup_vs_serial_est,
-        "cache": run.stats,
     }
 
 

@@ -35,22 +35,15 @@ Every simulated quantity is a pure function of (grid, root seed):
 
 from __future__ import annotations
 
-import time
-from pathlib import Path
+import operator
 
-from repro.bench.document import (
-    append_history,
-    deterministic_view,
-    history_entry,
-    perf_block,
-    write_document,
-)
-from repro.core.cache import cache_stats
+from repro.bench.campaign import Campaign, verdict_history
 from repro.dynamic.costmodel import ExitCostModel
 from repro.dynamic.decision import ALWAYS_LATE
 from repro.dynamic.executor import DynamicBatchExecutor, decision_drop
 from repro.dynamic.exits import early_exit_variants, reduced_width_spec
-from repro.parallel import CampaignTask, run_sharded, spawn_task_seeds
+from repro.parallel import CampaignTask, spawn_task_seeds
+from repro.reporting import format_percent
 from repro.serving.admission import AdmissionConfig
 from repro.serving.batcher import BatchPolicy
 from repro.serving.fleet import AutoscalerPolicy, FleetConfig, simulate_fleet
@@ -60,12 +53,12 @@ from repro.sim.batching import BatchExecutor
 from repro.sim.config import DuetConfig
 
 __all__ = [
+    "CAMPAIGN",
     "DYNAMIC_SCHEMA",
     "PARETO_MAX_DROP",
     "PARETO_MIN_REDUCTION",
     "dynamic_scenarios",
     "exit_thresholds",
-    "run_dynamic_bench",
 ]
 
 #: schema identifier written into BENCH_dynamic.json.
@@ -319,49 +312,20 @@ def _serving_scenario(scenario: dict, trace_seed: int, fast_path: bool) -> dict:
     }
 
 
-def run_dynamic_bench(
-    smoke: bool = False,
-    root_seed: int = 0,
-    fast_path: bool = True,
-    jobs: int = 1,
-    output: str | Path | None = "BENCH_dynamic.json",
-    with_perf: bool = True,
-    progress=None,
-) -> dict:
-    """Run the dynamic campaign and (optionally) write ``BENCH_dynamic.json``.
-
-    Args:
-        smoke: CI-sized grid (12 inputs, 150-request traces) instead of
-            the full campaign (32 inputs, 400-request traces).
-        root_seed: campaign root; input workload seeds are its
-            ``SeedSequence.spawn`` children and the serving traces are
-            seeded with it directly (both independent of ``jobs``).
-        fast_path: simulate on the vectorized fast path (True) or the
-            per-event slow-path oracle (False).
-        jobs: worker processes; tasks shard across them via
-            :mod:`repro.parallel` and merge in enumeration order, so
-            simulated quantities are identical for any value.
-        output: JSON path, or None to skip writing.
-        with_perf: record the ``perf`` block and ``history`` trail;
-            ``False`` (the CLI's ``--no-perf``) emits the
-            :func:`~repro.bench.document.deterministic_view` so
-            documents from different worker counts compare
-            byte-identical.
-        progress: optional callable invoked with each task record, in
-            enumeration order, after the shard completes.
-
-    Returns:
-        The full ``duet-dynamic/1`` document (also written to ``output``).
-    """
+def _tasks(
+    smoke: bool = False, seed: int = 0, fast_path: bool = True
+) -> list[CampaignTask]:
+    """One Pareto sweep per early-exit backbone, one parity check, one task
+    per serving scenario.  Input workload seeds are the root ``seed``'s
+    ``SeedSequence.spawn`` children and the serving traces are seeded
+    with it directly (both independent of ``jobs``)."""
     models = early_exit_variants()
     n_inputs = _N_INPUTS_SMOKE if smoke else _N_INPUTS
-    input_seeds = [int(seed) for seed in spawn_task_seeds(root_seed, n_inputs)]
-    scenarios = dynamic_scenarios(smoke)
-    tasks = [
-        CampaignTask(
-            index=i,
-            fn=_pareto_sweep,
-            kwargs={
+    input_seeds = [int(s) for s in spawn_task_seeds(seed, n_inputs)]
+    cells = [
+        (
+            _pareto_sweep,
+            {
                 "model_name": model,
                 "thresholds": _THRESHOLDS,
                 "input_seeds": input_seeds,
@@ -369,13 +333,12 @@ def run_dynamic_bench(
                 "fast_path": fast_path,
             },
         )
-        for i, model in enumerate(models)
+        for model in models
     ]
-    tasks.append(
-        CampaignTask(
-            index=len(tasks),
-            fn=_parity_check,
-            kwargs={
+    cells.append(
+        (
+            _parity_check,
+            {
                 # the static RNN rides along: it must pass through the
                 # dynamic executor untouched
                 "models": models + ("lstm",),
@@ -384,58 +347,44 @@ def run_dynamic_bench(
             },
         )
     )
-    scenario_offset = len(tasks)
-    tasks.extend(
-        CampaignTask(
-            index=scenario_offset + i,
-            fn=_serving_scenario,
-            kwargs={
-                "scenario": scenario,
-                "trace_seed": root_seed,
-                "fast_path": fast_path,
-            },
+    cells.extend(
+        (
+            _serving_scenario,
+            {"scenario": scenario, "trace_seed": seed, "fast_path": fast_path},
         )
-        for i, scenario in enumerate(scenarios)
+        for scenario in dynamic_scenarios(smoke)
     )
-    run = run_sharded(tasks, jobs=jobs, clock=time.perf_counter, stats=cache_stats)
-    records = run.results
-    if progress is not None:
-        for record in records:
-            progress(record)
+    return [
+        CampaignTask(index=i, fn=fn, kwargs=kwargs)
+        for i, (fn, kwargs) in enumerate(cells)
+    ]
 
+
+def _summarize(records: list[dict], params: dict) -> dict:
     pareto = [r for r in records if r["kind"] == "pareto"]
     parity = next(r for r in records if r["kind"] == "parity")
-    by_name = {r["name"]: r for r in records if r["kind"] == "scenario"}
+    scenarios = [r for r in records if r["kind"] == "scenario"]
+    by_name = {r["name"]: r for r in scenarios}
     ladder = by_name["overload_ladder"]
     quality = by_name["overload_quality"]
     best = max(pareto, key=lambda r: r["best"]["cycle_reduction_vs_full"])
-    document = {
+    return {
         "schema": DYNAMIC_SCHEMA,
-        "smoke": smoke,
-        "root_seed": root_seed,
-        "fast_path": fast_path,
+        "smoke": params["smoke"],
+        "root_seed": params["seed"],
+        "fast_path": params["fast_path"],
         "thresholds": list(_THRESHOLDS),
-        "inputs": n_inputs,
+        "inputs": _N_INPUTS_SMOKE if params["smoke"] else _N_INPUTS,
         "pareto": pareto,
         "parity": parity,
-        "scenarios": [r for r in records if r["kind"] == "scenario"],
+        "scenarios": scenarios,
         "aggregates": {
             "tasks": len(records),
             "models": len(pareto),
             "points": sum(len(r["points"]) for r in pareto),
-            "offered": sum(
-                r["summary"]["offered"]
-                for r in records
-                if r["kind"] == "scenario"
-            ),
-            "completed": sum(
-                r["summary"]["completed"]
-                for r in records
-                if r["kind"] == "scenario"
-            ),
-            "early_exits": sum(
-                r["early_exits"] for r in records if r["kind"] == "scenario"
-            ),
+            "offered": sum(r["summary"]["offered"] for r in scenarios),
+            "completed": sum(r["summary"]["completed"] for r in scenarios),
+            "early_exits": sum(r["early_exits"] for r in scenarios),
         },
         "best_tradeoff": {
             "model": best["model"],
@@ -464,24 +413,78 @@ def run_dynamic_bench(
             ),
         },
     }
-    if with_perf:
-        perf = perf_block(run)
-        document["perf"] = perf
-        append_history(
-            document,
-            output,
-            DYNAMIC_SCHEMA,
-            {
-                **history_entry(document, ("smoke",)),
-                **document["verdicts"],
-                "jobs": perf["jobs"],
-                "wall_s": perf["wall_s"],
-                "worker_efficiency": perf["worker_efficiency"],
-                "speedup_vs_serial_est": perf["speedup_vs_serial_est"],
-            },
+
+
+def _row(record: dict) -> str:
+    if record["kind"] == "pareto":
+        best = record["best"]
+        return (
+            f"{record['model']:>20s} "
+            f"{'tau=' + format(best['threshold'], 'g'):>24s} "
+            f"{best['cycle_reduction_vs_full']:9.2f}x "
+            f"{format_percent(best['mean_estimated_drop']):>7s} "
+            f"{'PASS' if record['pareto_win'] else 'miss':>8s}\n"
         )
-    else:
-        document = deterministic_view(document)
-    if output is not None:
-        write_document(document, output, DYNAMIC_SCHEMA)
-    return document
+    if record["kind"] == "parity":
+        models = ", ".join(m["model"] for m in record["models"])
+        return (
+            f"{'static parity':>20s} {models:>24s} {'':>10s} {'':>7s} "
+            f"{'PASS' if record['static_parity'] else 'FAIL':>8s}\n"
+        )
+    summary = record["summary"]
+    done = f"{summary['completed']}/{summary['offered']} done"
+    return (
+        f"{record['name']:>20s} {done:>24s} "
+        f"{record['goodput_rps']:9.1f}r "
+        f"{format_percent(record['mean_quality_drop']):>7s} "
+        f"{'':>8s}\n"
+    )
+
+
+def _trailer(document: dict, output: str, jobs: int) -> str:
+    best = document["best_tradeoff"]
+    verdicts = document["verdicts"]
+    dominance = document["dominance"]
+    gain = dominance["gain"]
+    gain_text = f"{gain:.2f}x" if gain is not None else "n/a"
+    return (
+        f"best tradeoff: {best['model']} at threshold "
+        f"{best['threshold']:g} -> {best['cycle_reduction_vs_full']:.2f}x "
+        f"cycles at {format_percent(best['mean_estimated_drop'])} estimated "
+        f"accuracy drop\n"
+        f"overload goodput: quality-aware "
+        f"{dominance['quality_goodput_rps']:.1f} req/s vs ladder-only "
+        f"{dominance['ladder_goodput_rps']:.1f} req/s ({gain_text}, "
+        f"{'holds' if verdicts['goodput_dominance'] else 'FAILS'}) at "
+        f"{format_percent(dominance['quality_mean_drop'])} mean estimated "
+        f"drop\n"
+        f"pareto win: {verdicts['pareto_win']}  "
+        f"static parity: {verdicts['static_parity']}  "
+        f"threshold monotone: {verdicts['threshold_monotone']}  "
+        f"quality bounded: {verdicts['quality_bounded']}; "
+        f"results in {output}\n"
+    )
+
+
+#: ``python -m repro dynamic``.
+CAMPAIGN = Campaign(
+    name="dynamic",
+    schema=DYNAMIC_SCHEMA,
+    output="BENCH_dynamic.json",
+    help=(
+        "run the selective-execution campaign (early-exit Pareto "
+        "sweep, static parity, quality-vs-ladder overload serving), "
+        "write BENCH_dynamic.json"
+    ),
+    smoke_help="CI-sized grid (12 inputs, 150-request traces) instead of full",
+    tasks=_tasks,
+    summarize=_summarize,
+    history=verdict_history,
+    header=(
+        f"{'task':>20s} {'detail':>24s} {'best/good':>10s} {'drop':>7s} "
+        f"{'verdict':>8s}\n"
+    ),
+    row=_row,
+    trailer=_trailer,
+    verdicts=operator.itemgetter("verdicts"),
+)

@@ -13,8 +13,8 @@ parallel campaign engine (:mod:`repro.parallel`) and writes
   ``all_guarded_invariants_held`` flag -- the correctness contract of
   the whole grid (guarded cells must never corrupt a computed value;
   unguarded cells are the foil and are *expected* to);
-- a ``perf`` block (wall clock, worker efficiency, cache counters) and
-  a cross-run ``history`` trail, both excluded from the determinism
+- a ``perf`` block (wall clock, worker efficiency) and a cross-run
+  ``history`` trail, both excluded from the determinism
   contract -- every simulated quantity in the document is a pure
   function of ``(matrix, root seed)``, so ``--jobs 1`` and ``--jobs N``
   agree byte for byte on the :func:`deterministic view
@@ -24,26 +24,14 @@ parallel campaign engine (:mod:`repro.parallel`) and writes
 
 from __future__ import annotations
 
-import time
-from pathlib import Path
-
-from repro.bench.document import (
-    append_history,
-    deterministic_view,
-    history_entry,
-    perf_block,
-    write_document,
-)
-from repro.core.cache import cache_stats
+from repro.bench.campaign import Campaign
+from repro.bench.document import history_entry
 from repro.models import MODEL_REGISTRY
-from repro.parallel import CampaignTask, run_sharded, spawn_task_seeds
+from repro.parallel import CampaignTask, spawn_task_seeds
 from repro.reliability import CAMPAIGNS, GuardSettings, run_fault_campaign
+from repro.sim.config import STAGES
 
-__all__ = [
-    "FAULTS_SCHEMA",
-    "fault_matrix",
-    "run_fault_matrix",
-]
+__all__ = ["CAMPAIGN", "FAULTS_SCHEMA", "fault_matrix"]
 
 #: schema identifier written into BENCH_faults.json.
 FAULTS_SCHEMA = "duet-faults/1"
@@ -58,8 +46,8 @@ def fault_matrix(smoke: bool = False) -> list[dict]:
     """Enumerate the campaign grid as a stable, ordered cell list.
 
     The enumeration order *is* the task index order: cell ``i`` always
-    receives child seed ``i`` (see :func:`run_fault_matrix`), so the
-    grid's results are independent of worker count and scheduling.
+    receives child seed ``i`` of the root seed, so the grid's results are
+    independent of worker count and scheduling.
     """
     if smoke:
         models: tuple[str, ...] = _SMOKE_MODELS
@@ -124,56 +112,24 @@ def _run_matrix_cell(
     }
 
 
-def run_fault_matrix(
-    smoke: bool = False,
-    root_seed: int = 0,
-    jobs: int = 1,
-    output: str | Path | None = "BENCH_faults.json",
-    with_perf: bool = True,
-    progress=None,
-) -> dict:
-    """Run the campaign grid and (optionally) write ``BENCH_faults.json``.
-
-    Args:
-        smoke: CI-sized grid (4 cells) instead of the full matrix.
-        root_seed: root of the per-cell seed derivation
-            (``SeedSequence.spawn`` -- cell ``i``'s seed depends only on
-            ``(root_seed, i)``, never on ``jobs``).
-        jobs: worker processes for the shard.
-        output: JSON path, or None to skip writing.
-        with_perf: record the ``perf`` block and ``history`` trail;
-            ``False`` (the CLI's ``--no-perf``) omits both so documents
-            from different worker counts compare byte-identical.
-        progress: optional callable invoked with each cell record, in
-            index order, after the shard completes.
-
-    Returns:
-        The full ``duet-faults/1`` document (also written to ``output``).
-    """
+def _tasks(smoke: bool = False, seed: int = 0) -> list[CampaignTask]:
+    """One task per grid cell; cell ``i``'s seed is child ``i`` of the
+    root ``seed`` (``SeedSequence.spawn``), never a function of ``jobs``."""
     cells = fault_matrix(smoke)
-    seeds = spawn_task_seeds(root_seed, len(cells))
-    tasks = [
-        CampaignTask(
-            index=i,
-            fn=_run_matrix_cell,
-            kwargs={**cell, "seed": seeds[i]},
-        )
+    seeds = spawn_task_seeds(seed, len(cells))
+    return [
+        CampaignTask(index=i, fn=_run_matrix_cell, kwargs={**cell, "seed": seeds[i]})
         for i, cell in enumerate(cells)
     ]
-    run = run_sharded(
-        tasks, jobs=jobs, clock=time.perf_counter, stats=cache_stats
-    )
-    records = run.results
-    if progress is not None:
-        for record in records:
-            progress(record)
 
+
+def _summarize(records: list[dict], params: dict) -> dict:
     guarded = [r for r in records if r["guards"]]
     unguarded = [r for r in records if not r["guards"]]
-    document = {
+    return {
         "schema": FAULTS_SCHEMA,
-        "smoke": smoke,
-        "root_seed": root_seed,
+        "smoke": params["smoke"],
+        "root_seed": params["seed"],
         "models": sorted({r["model"] for r in records}),
         "campaigns": sorted({r["campaign"] for r in records}),
         "cells": records,
@@ -193,29 +149,113 @@ def run_fault_matrix(
         },
         "all_guarded_invariants_held": all(r["invariant_held"] for r in guarded),
     }
-    if with_perf:
-        perf = perf_block(run)
-        document["perf"] = perf
-        append_history(
-            document,
-            output,
-            FAULTS_SCHEMA,
-            {
-                **history_entry(
-                    document, ("smoke", "all_guarded_invariants_held")
-                ),
-                "tasks": perf["tasks"],
-                "jobs": perf["jobs"],
-                "wall_s": perf["wall_s"],
-                "worker_efficiency": perf["worker_efficiency"],
-                "speedup_vs_serial_est": perf["speedup_vs_serial_est"],
-            },
+
+
+def _history(document: dict) -> dict:
+    return {
+        **history_entry(document, ("smoke", "all_guarded_invariants_held")),
+        "tasks": document["aggregates"]["tasks"],
+    }
+
+
+def _verdicts(document: dict) -> dict:
+    return {"all_guarded_invariants_held": document["all_guarded_invariants_held"]}
+
+
+def _row(record: dict) -> str:
+    return (
+        f"{record['model']:>10s} {record['campaign']:>16s} "
+        f"{'on' if record['guards'] else 'off':>6s} "
+        f"{record['final_stage']:>6s} {record['degradation_events']:6d} "
+        f"{record['dram_retries']:8d} "
+        f"{'PASS' if record['invariant_held'] else 'VIOLATED':>9s}\n"
+    )
+
+
+def _trailer(document: dict, output: str, jobs: int) -> str:
+    agg = document["aggregates"]
+    perf = document.get("perf")
+    if perf is not None:
+        lines = (
+            f"{agg['tasks']} cells in {perf['wall_s']:.2f}s wall "
+            f"({jobs} job(s), {perf['worker_efficiency']:.0%} worker "
+            f"efficiency, ~{perf['speedup_vs_serial_est']:.2f}x vs serial "
+            f"est.); results in {output}\n"
         )
-    if output is not None:
-        write_document(document, output, FAULTS_SCHEMA)
-    return document
+    else:
+        lines = f"{agg['tasks']} cells; results in {output}\n"
+    if not document["all_guarded_invariants_held"]:
+        return lines + (
+            f"values-never-corrupted invariant: VIOLATED in "
+            f"{agg['guarded_invariant_violations']} guarded cell(s)\n"
+        )
+    return lines + (
+        f"values-never-corrupted invariant: PASS across "
+        f"{agg['guarded']} guarded cells "
+        f"({agg['unguarded_invariant_violations']}/{agg['unguarded']} "
+        "unguarded foils corrupted, as expected)\n"
+    )
 
 
-def matrix_views_equal(a: dict, b: dict) -> bool:
-    """Contract equality of two matrix documents (see module docstring)."""
-    return deterministic_view(a) == deterministic_view(b)
+def _flags(parser) -> None:
+    parser.add_argument(
+        "--model", choices=sorted(MODEL_REGISTRY), default=None,
+        help="single-campaign mode: the model to run (omit for the matrix)",
+    )
+    parser.add_argument(
+        "--campaign", default="smoke", choices=sorted(CAMPAIGNS),
+        help="built-in fault campaign to apply (single-campaign mode)",
+    )
+    parser.add_argument(
+        "--stage", default="DUET", choices=STAGES,
+        help="degradation-ladder rung the run starts at",
+    )
+    parser.add_argument(
+        "--no-guards", action="store_true",
+        help="disable the online guards (show the unprotected failure mode)",
+    )
+
+
+def _single_run(args, out) -> int | None:
+    """``faults --model``: run one campaign and print its report."""
+    if args.model is None:
+        if args.no_guards:
+            raise ValueError(
+                "--no-guards needs --model; the matrix runs guarded and "
+                "unguarded arms itself"
+            )
+        return None
+    report = run_fault_campaign(
+        model=args.model,
+        campaign=args.campaign,
+        seed=args.seed,
+        guards=GuardSettings(enabled=not args.no_guards),
+        initial_stage=args.stage,
+    )
+    out.write(report.format() + "\n")
+    return 0
+
+
+#: ``python -m repro faults`` (the matrix; ``--model`` runs one campaign).
+CAMPAIGN = Campaign(
+    name="faults",
+    schema=FAULTS_SCHEMA,
+    output="BENCH_faults.json",
+    help=(
+        "run one fault campaign (--model) or the whole sharded "
+        "matrix (no --model), writing BENCH_faults.json"
+    ),
+    smoke_help="matrix mode: CI-sized grid instead of the full matrix",
+    tasks=_tasks,
+    summarize=_summarize,
+    history=_history,
+    header=(
+        f"{'model':>10s} {'campaign':>16s} {'guards':>6s} {'stage':>6s} "
+        f"{'events':>6s} {'retries':>8s} {'invariant':>9s}\n"
+    ),
+    row=_row,
+    trailer=_trailer,
+    verdicts=_verdicts,
+    flags=_flags,
+    branch=_single_run,
+)

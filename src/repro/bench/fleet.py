@@ -37,20 +37,13 @@ seed): ``--jobs 1`` and ``--jobs N`` agree byte for byte on the
 from __future__ import annotations
 
 import json
-import time
+import operator
 from pathlib import Path
 
 from repro.analysis.schema import SchemaError, validate_schema
-from repro.bench.document import (
-    append_history,
-    deterministic_view,
-    history_entry,
-    perf_block,
-    write_document,
-)
+from repro.bench.campaign import Campaign, verdict_history
 from repro.bench.serving import SERVE_SCHEMA
-from repro.core.cache import cache_stats
-from repro.parallel import CampaignTask, run_sharded, spawn_task_seeds
+from repro.parallel import CampaignTask, spawn_task_seeds
 from repro.serving.admission import AdmissionConfig
 from repro.serving.batcher import BatchPolicy
 from repro.serving.fleet import (
@@ -65,10 +58,10 @@ from repro.sim.batching import BatchExecutor
 from repro.sim.config import DuetConfig
 
 __all__ = [
+    "CAMPAIGN",
     "FLEET_SCHEMA",
     "FALLBACK_CAPACITY_RPS",
     "fleet_scenarios",
-    "run_fleet_bench",
     "serving_capacity_rps",
 ]
 
@@ -267,76 +260,49 @@ def _fleet_scenario(
     }
 
 
-def run_fleet_bench(
+def _tasks(
     smoke: bool = False,
-    root_seed: int = 0,
+    seed: int = 0,
     fast_path: bool = True,
-    jobs: int = 1,
-    output: str | Path | None = "BENCH_fleet.json",
     capacity_source: str | Path | None = "BENCH_serving.json",
-    with_perf: bool = True,
-    progress=None,
-) -> dict:
-    """Run the fleet campaign and (optionally) write ``BENCH_fleet.json``.
-
-    Args:
-        smoke: CI-sized scenarios (150 requests / 6 clients) instead of
-            the full campaign (500 requests / 12 clients).
-        root_seed: campaign root.  Open-loop traces are seeded with it
-            directly; the closed-loop population seed is its first
-            ``SeedSequence.spawn`` child (independent of ``jobs``).
-        fast_path: simulate on the vectorized fast path (True) or the
-            per-event slow-path oracle (False).
-        jobs: worker processes; scenarios shard across them via
-            :mod:`repro.parallel` and merge in enumeration order, so
-            simulated quantities are identical for any value.
-        output: JSON path, or None to skip writing.
-        capacity_source: path of the measured ``BENCH_serving.json``
-            feeding placement (None forces the recorded fallback).
-        with_perf: record the ``perf`` block and ``history`` trail;
-            ``False`` (the CLI's ``--no-perf``) emits the
-            :func:`~repro.bench.document.deterministic_view` so
-            documents from different worker counts compare
-            byte-identical.
-        progress: optional callable invoked with each scenario record,
-            in enumeration order, after the shard completes.
-
-    Returns:
-        The full ``duet-fleet/1`` document (also written to ``output``).
-    """
-    capacity_rps, capacity_from = serving_capacity_rps(capacity_source)
-    scenarios = fleet_scenarios(smoke, capacity_rps=capacity_rps)
-    (client_seed,) = spawn_task_seeds(root_seed, 1)
-    tasks = [
+) -> list[CampaignTask]:
+    """One task per scenario.  Open-loop traces are seeded with the root
+    ``seed`` directly; the closed-loop population seed is its first
+    ``SeedSequence.spawn`` child (independent of ``jobs``).
+    ``capacity_source`` is the measured ``BENCH_serving.json`` feeding
+    placement (None forces the recorded fallback)."""
+    capacity_rps, _ = serving_capacity_rps(capacity_source)
+    (client_seed,) = spawn_task_seeds(seed, 1)
+    return [
         CampaignTask(
             index=i,
             fn=_fleet_scenario,
             kwargs={
                 "scenario": scenario,
-                "trace_seed": root_seed,
+                "trace_seed": seed,
                 "client_seed": client_seed,
                 "fast_path": fast_path,
             },
         )
-        for i, scenario in enumerate(scenarios)
+        for i, scenario in enumerate(
+            fleet_scenarios(smoke, capacity_rps=capacity_rps)
+        )
     ]
-    run = run_sharded(tasks, jobs=jobs, clock=time.perf_counter, stats=cache_stats)
-    records = run.results
-    if progress is not None:
-        for record in records:
-            progress(record)
 
+
+def _summarize(records: list[dict], params: dict) -> dict:
+    capacity_rps, capacity_from = serving_capacity_rps(params["capacity_source"])
     by_name = {record["name"]: record for record in records}
     baseline = by_name["single_chip"]
     sharded = by_name["sharded_fleet"]
     overload = by_name["overload_autoscale"]
     closed = by_name["closed_loop"]
     closed_summary = closed["summary"]
-    document = {
+    return {
         "schema": FLEET_SCHEMA,
-        "smoke": smoke,
-        "root_seed": root_seed,
-        "fast_path": fast_path,
+        "smoke": params["smoke"],
+        "root_seed": params["seed"],
+        "fast_path": params["fast_path"],
         "capacity_feed": {
             "source": capacity_from,
             "server_capacity_rps": capacity_rps,
@@ -373,30 +339,72 @@ def run_fleet_bench(
             ),
         },
     }
-    if with_perf:
-        perf = perf_block(run)
-        document["perf"] = perf
-        append_history(
-            document,
-            output,
-            FLEET_SCHEMA,
-            {
-                **history_entry(document, ("smoke",)),
-                "goodput_dominance": document["verdicts"]["goodput_dominance"],
-                "autoscale_out_observed": document["verdicts"][
-                    "autoscale_out_observed"
-                ],
-                "closed_loop_conserved": document["verdicts"][
-                    "closed_loop_conserved"
-                ],
-                "jobs": perf["jobs"],
-                "wall_s": perf["wall_s"],
-                "worker_efficiency": perf["worker_efficiency"],
-                "speedup_vs_serial_est": perf["speedup_vs_serial_est"],
-            },
-        )
-    else:
-        document = deterministic_view(document)
-    if output is not None:
-        write_document(document, output, FLEET_SCHEMA)
-    return document
+
+
+def _row(record: dict) -> str:
+    summary = record["summary"]
+    p95 = summary["latency_ms"]["p95"]
+    p95_text = f"{p95:9.3f}" if p95 is not None else f"{'n/a':>9s}"
+    return (
+        f"{record['name']:>20s} {summary['offered']:8d} "
+        f"{summary['completed']:5d} {summary['rejected']:5d} "
+        f"{record['goodput_rps']:8.1f} {p95_text} "
+        f"{record['peak_servers']:5d} {record['scale_outs']:4d} "
+        f"{record['scale_ins']:4d} {record['shard_utilization']:5.2f}\n"
+    )
+
+
+def _trailer(document: dict, output: str, jobs: int) -> str:
+    feed = document["capacity_feed"]
+    verdicts = document["verdicts"]
+    dominance = document["dominance"]
+    speedup = dominance["speedup"]
+    speedup_text = f"{speedup:.2f}x" if speedup is not None else "n/a"
+    return (
+        f"capacity feed: {feed['server_capacity_rps']:.1f} req/s per server "
+        f"from {feed['source']} -> {feed['nominal_servers']} server(s) at "
+        f"{feed['nominal_rate_rps']:g} req/s offered\n"
+        f"goodput dominance: sharded fleet "
+        f"{dominance['sharded_goodput_rps']:.1f} req/s vs single chip "
+        f"{dominance['baseline_goodput_rps']:.1f} req/s ({speedup_text}, "
+        f"{'holds' if verdicts['goodput_dominance'] else 'FAILS'})\n"
+        f"autoscale out observed: {verdicts['autoscale_out_observed']}  "
+        f"closed loop conserved: {verdicts['closed_loop_conserved']}; "
+        f"results in {output}\n"
+    )
+
+
+def _flags(parser) -> None:
+    parser.add_argument(
+        "--capacity-source", default="BENCH_serving.json",
+        help=(
+            "measured BENCH_serving.json feeding placement decisions "
+            "(default BENCH_serving.json; missing file uses the recorded "
+            "fallback capacity)"
+        ),
+    )
+
+
+#: ``python -m repro fleet``.
+CAMPAIGN = Campaign(
+    name="fleet",
+    schema=FLEET_SCHEMA,
+    output="BENCH_fleet.json",
+    help=(
+        "run the fleet-scale sharded-serving campaign (sharding, SLO "
+        "classes, autoscaling, closed loop), write BENCH_fleet.json"
+    ),
+    smoke_help="CI-sized scenarios (150 requests / 6 clients) instead of full",
+    tasks=_tasks,
+    summarize=_summarize,
+    history=verdict_history,
+    header=(
+        f"{'scenario':>20s} {'offered':>8s} {'done':>5s} {'rej':>5s} "
+        f"{'good/s':>8s} {'p95 ms':>9s} {'peak':>5s} {'out':>4s} {'in':>4s} "
+        f"{'util':>5s}\n"
+    ),
+    row=_row,
+    trailer=_trailer,
+    verdicts=operator.itemgetter("verdicts"),
+    flags=_flags,
+)

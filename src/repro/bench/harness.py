@@ -21,24 +21,13 @@ import math
 import time
 from pathlib import Path
 
-from repro.bench.document import (
-    append_history,
-    deterministic_view,
-    history_entry,
-    perf_block,
-    write_document,
-)
+from repro.bench.campaign import Campaign
+from repro.bench.document import first_diff, history_entry
 from repro.bench.suites import SUITES, BenchSuite, prepare_models
-from repro.core.cache import cache_stats
-from repro.parallel import CampaignTask, run_sharded
+from repro.parallel import CampaignTask
 from repro.sim.config import DuetConfig
 
-__all__ = [
-    "BENCH_SCHEMA",
-    "discover_bench_files",
-    "run_suite",
-    "run_bench",
-]
+__all__ = ["BENCH_SCHEMA", "CAMPAIGN", "discover_bench_files", "run_suite"]
 
 #: schema identifier written into BENCH_duet.json.
 BENCH_SCHEMA = "duet-bench/1"
@@ -50,29 +39,6 @@ def discover_bench_files(bench_dir: str | Path = "benchmarks") -> list[str]:
     if not root.is_dir():
         return []
     return sorted(f"{root.name}/{p.name}" for p in root.glob("bench_*.py"))
-
-
-def _first_diff(fast, slow, path: str = "$") -> str | None:
-    """Path of the first differing leaf between two fingerprints, or None."""
-    if type(fast) is not type(slow):
-        return path
-    if isinstance(fast, dict):
-        if sorted(fast) != sorted(slow):
-            return path
-        for key in fast:
-            diff = _first_diff(fast[key], slow[key], f"{path}.{key}")
-            if diff is not None:
-                return diff
-        return None
-    if isinstance(fast, (list, tuple)):
-        if len(fast) != len(slow):
-            return path
-        for i, (a, b) in enumerate(zip(fast, slow)):
-            diff = _first_diff(a, b, f"{path}[{i}]")
-            if diff is not None:
-                return diff
-        return None
-    return None if fast == slow else path
 
 
 def _time_mode(
@@ -105,10 +71,6 @@ def run_suite(
     suite: BenchSuite, smoke: bool = False, warmup: int = 1, repeat: int = 3
 ) -> dict:
     """Run one suite on both paths; returns its JSON-ready result record."""
-    if repeat < 1:
-        raise ValueError(f"repeat must be >= 1, got {repeat}")
-    if warmup < 0:
-        raise ValueError(f"warmup must be >= 0, got {warmup}")
     models = suite.smoke_models if smoke else suite.full_models
     slow_times, slow_fp, slow_cycles = _time_mode(
         suite, models, fast_path=False, warmup=warmup, repeat=repeat
@@ -116,7 +78,7 @@ def run_suite(
     fast_times, fast_fp, fast_cycles = _time_mode(
         suite, models, fast_path=True, warmup=warmup, repeat=repeat
     )
-    diff = _first_diff(fast_fp, slow_fp)
+    diff = first_diff(fast_fp, slow_fp)
     equivalent = diff is None and fast_cycles == slow_cycles
     record = {
         "name": suite.name,
@@ -135,11 +97,6 @@ def run_suite(
     return record
 
 
-def _suite_task(name: str, smoke: bool, warmup: int, repeat: int) -> dict:
-    """One suite as a sharded task (top-level so workers can pickle it)."""
-    return run_suite(SUITES[name], smoke=smoke, warmup=warmup, repeat=repeat)
-
-
 def _select_suites(suite_names, smoke: bool) -> list[BenchSuite]:
     if suite_names:
         unknown = sorted(set(suite_names) - set(SUITES))
@@ -154,70 +111,42 @@ def _select_suites(suite_names, smoke: bool) -> list[BenchSuite]:
     return list(SUITES.values())
 
 
-def run_bench(
-    suite_names: list[str] | None = None,
+def _tasks(
     smoke: bool = False,
+    suite_names: list[str] | None = None,
     warmup: int = 1,
     repeat: int = 3,
-    output: str | Path | None = "BENCH_duet.json",
-    bench_dir: str | Path = "benchmarks",
-    progress=None,
-    jobs: int = 1,
-    with_perf: bool = True,
-) -> dict:
-    """Run the selected suites and (optionally) write ``BENCH_duet.json``.
-
-    Args:
-        suite_names: explicit suite selection; default = smoke subset when
-            ``smoke`` else every registered suite.
-        smoke: use the reduced model lists and the smoke suite subset.
-        warmup / repeat: untimed and timed runs per path.
-        output: JSON path, or ``None`` to skip writing.
-        bench_dir: directory scanned for ``bench_*.py`` discovery.
-        progress: optional callable invoked with each finished suite
-            record in suite order, once the shard completes (the CLI
-            uses this to stream a results table).
-        jobs: worker processes; suites shard across them via
-            :mod:`repro.parallel` and merge in suite order, so the
-            document's simulated quantities are identical for any value.
-        with_perf: record the ``perf`` block and ``history`` trail.
-            ``False`` (the CLI's ``--no-perf``) emits the
-            :func:`~repro.bench.document.deterministic_view` instead --
-            wall clocks stripped everywhere -- so documents from
-            different worker counts or machines compare byte-identical.
-
-    Returns:
-        The full ``duet-bench/1`` document (also written to ``output``).
-    """
-    selected = _select_suites(suite_names, smoke)
-    tasks = [
+) -> list[CampaignTask]:
+    """One task per selected suite: ``suite_names``, or by default the
+    smoke subset when ``smoke`` else every registered suite."""
+    if repeat < 1:
+        raise ValueError(f"repeat must be >= 1, got {repeat}")
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
+    return [
         CampaignTask(
             index=i,
-            fn=_suite_task,
+            fn=run_suite,
             kwargs={
-                "name": suite.name,
+                "suite": suite,
                 "smoke": smoke,
                 "warmup": warmup,
                 "repeat": repeat,
             },
         )
-        for i, suite in enumerate(selected)
+        for i, suite in enumerate(_select_suites(suite_names, smoke))
     ]
-    run = run_sharded(
-        tasks, jobs=jobs, clock=time.perf_counter, stats=cache_stats
-    )
-    records = run.results
-    if progress is not None:
-        for record in records:
-            progress(record)
-    discovered = discover_bench_files(bench_dir)
+
+
+def _summarize(records: list[dict], params: dict) -> dict:
+    discovered = discover_bench_files()
     timed_files = {s.bench_file for s in SUITES.values()}
     speedups = [r["speedup_vs_slow_path"] for r in records]
-    document = {
+    return {
         "schema": BENCH_SCHEMA,
-        "smoke": smoke,
-        "warmup": warmup,
-        "repeat": repeat,
+        "smoke": params["smoke"],
+        "warmup": params["warmup"],
+        "repeat": params["repeat"],
         "suites": records,
         "discovered_bench_files": discovered,
         "untimed_bench_files": [
@@ -230,26 +159,93 @@ def run_bench(
         ),
         "all_equivalent": all(r["equivalent"] for r in records),
     }
-    if with_perf:
-        perf = perf_block(run)
-        document["perf"] = perf
-        append_history(
-            document,
-            output,
-            BENCH_SCHEMA,
-            {
-                **history_entry(
-                    document,
-                    ("smoke", "geomean_speedup_vs_slow_path", "all_equivalent"),
-                ),
-                "jobs": perf["jobs"],
-                "wall_s": perf["wall_s"],
-                "worker_efficiency": perf["worker_efficiency"],
-                "speedup_vs_serial_est": perf["speedup_vs_serial_est"],
-            },
+
+
+def _history(document: dict) -> dict:
+    return history_entry(
+        document, ("smoke", "geomean_speedup_vs_slow_path", "all_equivalent")
+    )
+
+
+def _verdicts(document: dict) -> dict:
+    return {"all_equivalent": document["all_equivalent"]}
+
+
+def _row(record: dict) -> str:
+    return (
+        f"{record['name']:>26s} {record['wall_time_s']['fast']:9.3f} "
+        f"{record['wall_time_s']['slow']:9.3f} "
+        f"{record['speedup_vs_slow_path']:7.1f}x "
+        f"{record['equivalence']:>13s}\n"
+    )
+
+
+def _trailer(document: dict, output: str, jobs: int) -> str:
+    geomean = document.get("geomean_speedup_vs_slow_path")
+    if geomean is not None:
+        lines = (
+            f"geomean speedup {geomean:.1f}x over the slow-path oracle; "
+            f"results in {output}\n"
         )
     else:
-        document = deterministic_view(document)
-    if output is not None:
-        write_document(document, output, BENCH_SCHEMA)
-    return document
+        lines = f"results in {output}\n"
+    if not document["all_equivalent"]:
+        lines += (
+            "fast path diverged from the slow-path oracle "
+            "(see the MISMATCH suites above)\n"
+        )
+    return lines
+
+
+def _flags(parser) -> None:
+    parser.add_argument(
+        "--suite", action="append", choices=sorted(SUITES), default=None,
+        dest="suite_names", help="run only the named suite (repeatable)",
+    )
+    parser.add_argument(
+        "--warmup", type=int, default=1,
+        help="untimed runs per path before timing (default 1)",
+    )
+    parser.add_argument(
+        "--repeat", type=int, default=3,
+        help="timed runs per path; the minimum is reported (default 3)",
+    )
+    parser.add_argument(
+        "--list", action="store_true", dest="list_suites",
+        help="list registered suites and exit",
+    )
+
+
+def _list_suites(args, out) -> int | None:
+    """``bench --list``: print the suite registry instead of running it."""
+    if not args.list_suites:
+        return None
+    for name in sorted(SUITES):
+        suite = SUITES[name]
+        marker = "smoke+full" if suite.in_smoke else "full"
+        out.write(
+            f"{name:26s} {suite.figure:14s} [{marker}] {suite.description}\n"
+        )
+    return 0
+
+
+#: ``python -m repro bench``.
+CAMPAIGN = Campaign(
+    name="bench",
+    schema=BENCH_SCHEMA,
+    output="BENCH_duet.json",
+    help="time the fast path vs the slow-path oracle, write BENCH_duet.json",
+    smoke_help="reduced suite subset and model lists (CI-sized)",
+    tasks=_tasks,
+    summarize=_summarize,
+    history=_history,
+    header=(
+        f"{'suite':>26s} {'fast s':>9s} {'slow s':>9s} {'speedup':>8s} "
+        f"{'equivalence':>13s}\n"
+    ),
+    row=_row,
+    trailer=_trailer,
+    verdicts=_verdicts,
+    flags=_flags,
+    branch=_list_suites,
+)

@@ -20,28 +20,21 @@ front end (:mod:`repro.serving`) and emits a machine-readable
 Every **simulated** quantity in the document is a pure function of
 ``(seed, scale, flags)`` -- identical on the fast path and the slow-path
 oracle, and for any ``--jobs`` value.  The only non-deterministic parts
-are the ``perf`` block (wall clock, worker efficiency, cache counters)
-and the cross-run ``history`` trail, both excluded from the determinism
-contract (:func:`repro.bench.document.deterministic_view`) and omitted
-entirely under ``--no-perf``, where the file is byte-identical across
-runs and worker counts.
+are the ``perf`` block (wall clock, worker efficiency) and the
+cross-run ``history`` trail, both excluded from the determinism contract
+(:func:`repro.bench.document.deterministic_view`) and omitted entirely
+under ``--no-perf``, where the file is byte-identical across runs and
+worker counts.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass
 
-from repro.bench.document import (
-    append_history,
-    deterministic_view,
-    history_entry,
-    perf_block,
-    write_document,
-)
-from repro.core.cache import cache_stats
-from repro.parallel import CampaignTask, run_sharded
+from repro.bench.campaign import Campaign
+from repro.bench.document import history_entry
+from repro.parallel import CampaignTask
+from repro.reporting import format_percent
 from repro.serving.admission import AdmissionConfig
 from repro.serving.batcher import BatchPolicy
 from repro.serving.loadgen import ARRIVAL_PROCESSES, TraceConfig
@@ -49,7 +42,7 @@ from repro.serving.overload import OverloadPolicy
 from repro.serving.server import ServerConfig, simulate_serving
 from repro.sim.config import DuetConfig
 
-__all__ = ["SERVE_SCHEMA", "ServeScenario", "run_serving_bench", "serve_scenarios"]
+__all__ = ["CAMPAIGN", "SERVE_SCHEMA", "ServeScenario", "serve_scenarios"]
 
 #: schema identifier written into BENCH_serving.json.
 SERVE_SCHEMA = "duet-serve/1"
@@ -102,6 +95,8 @@ def serve_scenarios(
         raise ValueError(
             f"arrival must be one of {ARRIVAL_PROCESSES}, got {arrival!r}"
         )
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if max_batch < 1:
         raise ValueError(f"max_batch must be >= 1, got {max_batch}")
     if scale <= 0:
@@ -196,16 +191,8 @@ def _server_record(server: ServerConfig) -> dict:
     }
 
 
-def _scenario_task(name: str, params: dict) -> dict:
-    """Simulate one named scenario of the campaign (sharded task).
-
-    Rebuilds the scenario list from the campaign parameters inside the
-    worker -- scenario construction is cheap and pure, and shipping
-    plain parameters keeps the task kwargs trivially picklable.
-    """
-    scenario = next(
-        s for s in serve_scenarios(**params) if s.name == name
-    )
+def _scenario_task(scenario: ServeScenario) -> dict:
+    """Simulate one scenario of the campaign (sharded task)."""
     result = simulate_serving(scenario.trace, config=scenario.server)
     return {
         "name": scenario.name,
@@ -224,7 +211,7 @@ def _scenario_task(name: str, params: dict) -> dict:
     }
 
 
-def run_serving_bench(
+def _tasks(
     smoke: bool = False,
     seed: int = 0,
     workers: int = 2,
@@ -232,97 +219,115 @@ def run_serving_bench(
     arrival: str = "poisson",
     scale: float = 1.0,
     fast_path: bool = True,
-    output: str | Path | None = "BENCH_serving.json",
-    progress=None,
-    jobs: int = 1,
-    with_perf: bool = True,
-) -> dict:
-    """Run the campaign and (optionally) write ``BENCH_serving.json``.
-
-    Args:
-        smoke / seed / workers / max_batch / arrival / scale / fast_path:
-            see :func:`serve_scenarios`.
-        output: JSON path, or None to skip writing.
-        progress: optional callable invoked with each finished scenario
-            record in scenario order, once the shard completes (the CLI
-            streams a table through this).
-        jobs: worker processes; scenarios shard across them via
-            :mod:`repro.parallel` and merge in scenario order, so the
-            simulated quantities are identical for any value.
-        with_perf: record the ``perf`` block and ``history`` trail;
-            ``False`` (the CLI's ``--no-perf``) emits the
-            :func:`~repro.bench.document.deterministic_view` so
-            documents from different worker counts compare
-            byte-identical.
-
-    Returns:
-        The full ``duet-serve/1`` document (also written to ``output``).
-    """
-    params = {
-        "smoke": smoke,
-        "seed": seed,
-        "workers": workers,
-        "max_batch": max_batch,
-        "arrival": arrival,
-        "scale": scale,
-        "fast_path": fast_path,
-    }
-    scenarios = serve_scenarios(**params)
-    tasks = [
-        CampaignTask(
-            index=i,
-            fn=_scenario_task,
-            kwargs={"name": scenario.name, "params": params},
-        )
+) -> list[CampaignTask]:
+    """One task per scenario of :func:`serve_scenarios` (same arguments)."""
+    scenarios = serve_scenarios(
+        smoke=smoke, seed=seed, workers=workers, max_batch=max_batch,
+        arrival=arrival, scale=scale, fast_path=fast_path,
+    )
+    return [
+        CampaignTask(index=i, fn=_scenario_task, kwargs={"scenario": scenario})
         for i, scenario in enumerate(scenarios)
     ]
-    run = run_sharded(
-        tasks, jobs=jobs, clock=time.perf_counter, stats=cache_stats
-    )
-    records = run.results
-    if progress is not None:
-        for record in records:
-            progress(record)
-    by_name = {record["name"]: record for record in records}
 
+
+def _summarize(records: list[dict], params: dict) -> dict:
+    by_name = {record["name"]: record for record in records}
     batch1 = by_name["capacity_batch1"]["summary"]["throughput_rps"]
     batched = by_name["capacity_batched"]["summary"]["throughput_rps"]
-    document = {
+    return {
         "schema": SERVE_SCHEMA,
-        "smoke": smoke,
-        "seed": seed,
-        "arrival": arrival,
-        "workers": workers,
-        "max_batch": max_batch,
-        "scale": scale,
-        "fast_path": fast_path,
+        "smoke": params["smoke"],
+        "seed": params["seed"],
+        "arrival": params["arrival"],
+        "workers": params["workers"],
+        "max_batch": params["max_batch"],
+        "scale": params["scale"],
+        "fast_path": params["fast_path"],
         "requests_offered": sum(r["requests"] for r in records),
         "scenarios": records,
         "batching": {
             "batch1_throughput_rps": batch1,
             "batched_throughput_rps": batched,
-            "max_batch": max_batch,
+            "max_batch": params["max_batch"],
             "speedup": batched / batch1 if batch1 else None,
         },
     }
-    if with_perf:
-        perf = perf_block(run)
-        document["perf"] = perf
-        append_history(
-            document,
-            output,
-            SERVE_SCHEMA,
-            {
-                **history_entry(document, ("smoke", "requests_offered")),
-                "batching_speedup": document["batching"]["speedup"],
-                "jobs": perf["jobs"],
-                "wall_s": perf["wall_s"],
-                "worker_efficiency": perf["worker_efficiency"],
-                "speedup_vs_serial_est": perf["speedup_vs_serial_est"],
-            },
-        )
-    else:
-        document = deterministic_view(document)
-    if output is not None:
-        write_document(document, output, SERVE_SCHEMA)
-    return document
+
+
+def _history(document: dict) -> dict:
+    return {
+        **history_entry(document, ("smoke", "requests_offered")),
+        "batching_speedup": document["batching"]["speedup"],
+    }
+
+
+def _ms(value) -> str:
+    return f"{value:9.3f}" if value is not None else f"{'n/a':>9s}"
+
+
+def _row(record: dict) -> str:
+    summary = record["summary"]
+    latency = summary["latency_ms"]
+    return (
+        f"{record['name']:>18s} {record['requests']:9d} "
+        f"{_ms(latency['p50'])} {_ms(latency['p95'])} {_ms(latency['p99'])} "
+        f"{summary['throughput_rps']:8.1f} "
+        f"{format_percent(summary['reject_rate']):>7s} "
+        f"{summary['degraded']:9d}\n"
+    )
+
+
+def _trailer(document: dict, output: str, jobs: int) -> str:
+    batching = document["batching"]
+    overload = next(
+        s["summary"] for s in document["scenarios"] if s["name"] == "overload"
+    )
+    stages = "  ".join(
+        f"{stage}={count}" for stage, count in overload["stage_counts"].items()
+    )
+    return (
+        f"overload stage counts: {stages}\n"
+        f"dynamic batching (max {batching['max_batch']}): "
+        f"{batching['batched_throughput_rps']:.1f} req/s vs "
+        f"{batching['batch1_throughput_rps']:.1f} req/s unbatched = "
+        f"{batching['speedup']:.2f}x throughput; results in {output}\n"
+    )
+
+
+def _flags(parser) -> None:
+    parser.add_argument(
+        "--workers", type=int, default=2, help="simulated accelerator workers"
+    )
+    parser.add_argument(
+        "--max-batch", type=int, default=8,
+        help="dynamic-batching cap of the batched arms",
+    )
+    parser.add_argument(
+        "--arrival", default="poisson", choices=ARRIVAL_PROCESSES,
+        help="arrival process of every scenario trace",
+    )
+    parser.add_argument(
+        "--scale", type=float, default=1.0,
+        help="request-count multiplier (floor 20 per scenario)",
+    )
+
+
+#: ``python -m repro loadgen``.
+CAMPAIGN = Campaign(
+    name="loadgen",
+    schema=SERVE_SCHEMA,
+    output="BENCH_serving.json",
+    help="run the serving scenario campaign, write BENCH_serving.json",
+    smoke_help="CI-sized campaign (~2k requests instead of ~10k)",
+    tasks=_tasks,
+    summarize=_summarize,
+    history=_history,
+    header=(
+        f"{'scenario':>18s} {'requests':>9s} {'p50 ms':>9s} {'p95 ms':>9s} "
+        f"{'p99 ms':>9s} {'req/s':>8s} {'reject':>7s} {'degraded':>9s}\n"
+    ),
+    row=_row,
+    trailer=_trailer,
+    flags=_flags,
+)

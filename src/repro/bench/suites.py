@@ -25,7 +25,7 @@ from repro.sim import DuetAccelerator
 from repro.sim.config import STAGES, DuetConfig, stage_config
 from repro.workloads import SparsityModel, cnn_workloads, rnn_workloads
 
-__all__ = ["BenchSuite", "SUITES", "suite_names", "prepare_models"]
+__all__ = ["BenchSuite", "SUITES", "prepare_models"]
 
 #: models of the full Fig. 11(a) suite (matches
 #: :data:`repro.experiments.architecture.ALL_MODELS`).
@@ -237,8 +237,3 @@ SUITES: dict[str, BenchSuite] = {
         ),
     )
 }
-
-
-def suite_names() -> list[str]:
-    """Registered suite names, sorted."""
-    return sorted(SUITES)

@@ -30,27 +30,24 @@ Commands:
 Every command prints a plain-text table; all simulations are seeded and
 deterministic.  Usage errors (unknown model, incompatible flags) exit
 with status 2 and a one-line message on stderr -- never a traceback.
+The six campaign commands (``faults``, ``bench``, ``loadgen``, ``chaos``,
+``fleet``, ``dynamic``) are :data:`repro.bench.BENCH_CAMPAIGNS` specs
+registered by one helper with the shared ``--smoke``, ``--jobs``,
+``--output`` and ``--no-perf`` flags (plus ``--seed`` and
+``--slow-path`` where the campaign takes them); they exit 0 when every
+verdict holds and 1 when one fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from repro.analysis.cli import cmd_lint, configure_parser as configure_lint_parser
 from repro.baselines import cnvlutin, eyeriss, predict, predict_cnvlutin, snapea
-from repro.bench import (
-    SUITES,
-    run_bench,
-    run_chaos_bench,
-    run_dynamic_bench,
-    run_fault_matrix,
-    run_fleet_bench,
-    run_serving_bench,
-)
+from repro.bench import BENCH_CAMPAIGNS, run_campaign
 from repro.models import MODEL_REGISTRY, get_model_spec
-from repro.reliability import CAMPAIGNS, GuardSettings, run_fault_campaign
-from repro.reporting import format_percent
 from repro.serving import (
     ARRIVAL_PROCESSES,
     AdmissionConfig,
@@ -99,92 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("area", help="Table-I area breakdown")
 
-    p_faults = sub.add_parser(
-        "faults",
-        help=(
-            "run one fault campaign (--model) or the whole sharded "
-            "matrix (no --model), writing BENCH_faults.json"
-        ),
-    )
-    p_faults.add_argument(
-        "--model", choices=sorted(MODEL_REGISTRY), default=None,
-        help="single-campaign mode: the model to run (omit for the matrix)",
-    )
-    p_faults.add_argument(
-        "--campaign",
-        default="smoke",
-        choices=sorted(CAMPAIGNS),
-        help="built-in fault campaign to apply (single-campaign mode)",
-    )
-    p_faults.add_argument("--seed", type=int, default=0, help="campaign seed")
-    p_faults.add_argument(
-        "--stage", default="DUET", choices=STAGES,
-        help="degradation-ladder rung the run starts at",
-    )
-    p_faults.add_argument(
-        "--no-guards", action="store_true",
-        help="disable the online guards (show the unprotected failure mode)",
-    )
-    p_faults.add_argument(
-        "--smoke", action="store_true",
-        help="matrix mode: CI-sized grid instead of the full matrix",
-    )
-    p_faults.add_argument(
-        "--jobs", type=int, default=1,
-        help="matrix mode: worker processes (results identical for any N)",
-    )
-    p_faults.add_argument(
-        "--output", default="BENCH_faults.json",
-        help="matrix mode: result path (default BENCH_faults.json)",
-    )
-    p_faults.add_argument(
-        "--no-perf", action="store_true",
-        help=(
-            "matrix mode: omit the wall-clock perf block and history so "
-            "documents compare byte-identical across worker counts"
-        ),
-    )
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="time the fast path vs the slow-path oracle, write BENCH_duet.json",
-    )
-    p_bench.add_argument(
-        "--smoke", action="store_true",
-        help="reduced suite subset and model lists (CI-sized)",
-    )
-    p_bench.add_argument(
-        "--suite", action="append", choices=sorted(SUITES), default=None,
-        help="run only the named suite (repeatable)",
-    )
-    p_bench.add_argument(
-        "--warmup", type=int, default=1,
-        help="untimed runs per path before timing (default 1)",
-    )
-    p_bench.add_argument(
-        "--repeat", type=int, default=3,
-        help="timed runs per path; the minimum is reported (default 3)",
-    )
-    p_bench.add_argument(
-        "--output", default="BENCH_duet.json",
-        help="result path (default BENCH_duet.json at the repo root)",
-    )
-    p_bench.add_argument(
-        "--list", action="store_true", dest="list_suites",
-        help="list registered suites and exit",
-    )
-    p_bench.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes (simulated results identical for any N)",
-    )
-    p_bench.add_argument(
-        "--no-perf", action="store_true",
-        help=(
-            "omit wall-clock fields, the perf block and history so "
-            "documents compare byte-identical across worker counts"
-        ),
-    )
-
     p_serve = sub.add_parser(
         "serve",
         help="simulate the serving front end on one seeded arrival trace",
@@ -226,157 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="distinct workload samples circulating in the traffic",
     )
 
-    p_load = sub.add_parser(
-        "loadgen",
-        help="run the serving scenario campaign, write BENCH_serving.json",
-    )
-    p_load.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized campaign (~2k requests instead of ~10k)",
-    )
-    p_load.add_argument("--seed", type=int, default=0, help="campaign seed")
-    p_load.add_argument(
-        "--workers", type=int, default=2, help="simulated accelerator workers"
-    )
-    p_load.add_argument(
-        "--max-batch", type=int, default=8,
-        help="dynamic-batching cap of the batched arms",
-    )
-    p_load.add_argument(
-        "--arrival", default="poisson", choices=ARRIVAL_PROCESSES,
-        help="arrival process of every scenario trace",
-    )
-    p_load.add_argument(
-        "--scale", type=float, default=1.0,
-        help="request-count multiplier (floor 20 per scenario)",
-    )
-    p_load.add_argument(
-        "--slow-path", action="store_true",
-        help="simulate on the per-event slow-path oracle instead",
-    )
-    p_load.add_argument(
-        "--output", default="BENCH_serving.json",
-        help="result path (default BENCH_serving.json at the repo root)",
-    )
-    p_load.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes (simulated results identical for any N)",
-    )
-    p_load.add_argument(
-        "--no-perf", action="store_true",
-        help=(
-            "omit the wall-clock perf block and history so documents "
-            "compare byte-identical across worker counts"
-        ),
-    )
-
-    p_chaos = sub.add_parser(
-        "chaos",
-        help=(
-            "run the fault-tolerant serving sweep (fault rate x recovery "
-            "policy), write BENCH_chaos.json"
-        ),
-    )
-    p_chaos.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized sweep (2 rates, 120 requests/cell) instead of full",
-    )
-    p_chaos.add_argument("--seed", type=int, default=0, help="campaign root seed")
-    p_chaos.add_argument(
-        "--workers", type=int, default=3, help="simulated accelerators in the fleet"
-    )
-    p_chaos.add_argument(
-        "--slow-path", action="store_true",
-        help="simulate on the per-event slow-path oracle instead",
-    )
-    p_chaos.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes (simulated results identical for any N)",
-    )
-    p_chaos.add_argument(
-        "--output", default="BENCH_chaos.json",
-        help="result path (default BENCH_chaos.json at the repo root)",
-    )
-    p_chaos.add_argument(
-        "--no-perf", action="store_true",
-        help=(
-            "omit the wall-clock perf block and history so documents "
-            "compare byte-identical across worker counts"
-        ),
-    )
-
-    p_fleet = sub.add_parser(
-        "fleet",
-        help=(
-            "run the fleet-scale sharded-serving campaign (sharding, SLO "
-            "classes, autoscaling, closed loop), write BENCH_fleet.json"
-        ),
-    )
-    p_fleet.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized scenarios (150 requests / 6 clients) instead of full",
-    )
-    p_fleet.add_argument("--seed", type=int, default=0, help="campaign root seed")
-    p_fleet.add_argument(
-        "--slow-path", action="store_true",
-        help="simulate on the per-event slow-path oracle instead",
-    )
-    p_fleet.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes (simulated results identical for any N)",
-    )
-    p_fleet.add_argument(
-        "--output", default="BENCH_fleet.json",
-        help="result path (default BENCH_fleet.json at the repo root)",
-    )
-    p_fleet.add_argument(
-        "--capacity-source", default="BENCH_serving.json",
-        help=(
-            "measured BENCH_serving.json feeding placement decisions "
-            "(default BENCH_serving.json; missing file uses the recorded "
-            "fallback capacity)"
-        ),
-    )
-    p_fleet.add_argument(
-        "--no-perf", action="store_true",
-        help=(
-            "omit the wall-clock perf block and history so documents "
-            "compare byte-identical across worker counts"
-        ),
-    )
-
-    p_dynamic = sub.add_parser(
-        "dynamic",
-        help=(
-            "run the selective-execution campaign (early-exit Pareto "
-            "sweep, static parity, quality-vs-ladder overload serving), "
-            "write BENCH_dynamic.json"
-        ),
-    )
-    p_dynamic.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized grid (12 inputs, 150-request traces) instead of full",
-    )
-    p_dynamic.add_argument("--seed", type=int, default=0, help="campaign root seed")
-    p_dynamic.add_argument(
-        "--slow-path", action="store_true",
-        help="simulate on the per-event slow-path oracle instead",
-    )
-    p_dynamic.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes (simulated results identical for any N)",
-    )
-    p_dynamic.add_argument(
-        "--output", default="BENCH_dynamic.json",
-        help="result path (default BENCH_dynamic.json at the repo root)",
-    )
-    p_dynamic.add_argument(
-        "--no-perf", action="store_true",
-        help=(
-            "omit the wall-clock perf block and history so documents "
-            "compare byte-identical across worker counts"
-        ),
-    )
+    for spec in BENCH_CAMPAIGNS.values():
+        _register_campaign(sub, spec)
 
     p_lint = sub.add_parser(
         "lint",
@@ -384,6 +146,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     configure_lint_parser(p_lint)
     return parser
+
+
+def _register_campaign(sub, spec) -> None:
+    """Add ``spec``'s subcommand: the shared campaign flags, then its own."""
+    parser = sub.add_parser(spec.name, help=spec.help)
+    parser.add_argument("--smoke", action="store_true", help=spec.smoke_help)
+    if "seed" in spec.params:
+        parser.add_argument(
+            "--seed", type=int, default=0, help="campaign root seed"
+        )
+    if "fast_path" in spec.params:
+        parser.add_argument(
+            "--slow-path", action="store_true",
+            help="simulate on the per-event slow-path oracle instead",
+        )
+    parser.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes (simulated results identical for any N)",
+    )
+    parser.add_argument(
+        "--output", default=spec.output,
+        help=f"result path (default {spec.output} at the repo root)",
+    )
+    parser.add_argument(
+        "--no-perf", action="store_true",
+        help=(
+            "omit the wall-clock perf block and history so documents "
+            "compare byte-identical across worker counts"
+        ),
+    )
+    spec.flags(parser)
 
 
 def _workloads_for(spec, seed: int, include_fc: bool = False):
@@ -489,123 +282,6 @@ def _cmd_area(_args, out) -> int:
     return 0
 
 
-def _cmd_faults(args, out) -> int:
-    if args.jobs < 1:
-        raise CliError(f"--jobs must be >= 1, got {args.jobs}")
-    if args.model is not None:
-        report = run_fault_campaign(
-            model=args.model,
-            campaign=args.campaign,
-            seed=args.seed,
-            guards=GuardSettings(enabled=not args.no_guards),
-            initial_stage=args.stage,
-        )
-        out.write(report.format() + "\n")
-        return 0
-    if args.no_guards:
-        raise CliError(
-            "--no-guards needs --model; the matrix runs guarded and "
-            "unguarded arms itself"
-        )
-    out.write(
-        f"{'model':>10s} {'campaign':>16s} {'guards':>6s} {'stage':>6s} "
-        f"{'events':>6s} {'retries':>8s} {'invariant':>9s}\n"
-    )
-
-    def _progress(record):
-        out.write(
-            f"{record['model']:>10s} {record['campaign']:>16s} "
-            f"{'on' if record['guards'] else 'off':>6s} "
-            f"{record['final_stage']:>6s} {record['degradation_events']:6d} "
-            f"{record['dram_retries']:8d} "
-            f"{'PASS' if record['invariant_held'] else 'VIOLATED':>9s}\n"
-        )
-
-    document = run_fault_matrix(
-        smoke=args.smoke,
-        root_seed=args.seed,
-        jobs=args.jobs,
-        output=args.output,
-        with_perf=not args.no_perf,
-        progress=_progress,
-    )
-    agg = document["aggregates"]
-    perf = document.get("perf")
-    if perf is not None:
-        out.write(
-            f"{agg['tasks']} cells in {perf['wall_s']:.2f}s wall "
-            f"({args.jobs} job(s), {perf['worker_efficiency']:.0%} worker "
-            f"efficiency, ~{perf['speedup_vs_serial_est']:.2f}x vs serial "
-            f"est.); results in {args.output}\n"
-        )
-    else:
-        out.write(
-            f"{agg['tasks']} cells; results in {args.output}\n"
-        )
-    if not document["all_guarded_invariants_held"]:
-        raise CliError(
-            f"values-never-corrupted invariant: VIOLATED in "
-            f"{agg['guarded_invariant_violations']} guarded cell(s)"
-        )
-    out.write(
-        f"values-never-corrupted invariant: PASS across "
-        f"{agg['guarded']} guarded cells "
-        f"({agg['unguarded_invariant_violations']}/{agg['unguarded']} "
-        "unguarded foils corrupted, as expected)\n"
-    )
-    return 0
-
-
-def _cmd_bench(args, out) -> int:
-    if args.list_suites:
-        for name in sorted(SUITES):
-            suite = SUITES[name]
-            marker = "smoke+full" if suite.in_smoke else "full"
-            out.write(
-                f"{name:26s} {suite.figure:14s} [{marker}] {suite.description}\n"
-            )
-        return 0
-    out.write(
-        f"{'suite':>26s} {'fast s':>9s} {'slow s':>9s} {'speedup':>8s} "
-        f"{'equivalence':>13s}\n"
-    )
-
-    def _progress(record):
-        out.write(
-            f"{record['name']:>26s} {record['wall_time_s']['fast']:9.3f} "
-            f"{record['wall_time_s']['slow']:9.3f} "
-            f"{record['speedup_vs_slow_path']:7.1f}x "
-            f"{record['equivalence']:>13s}\n"
-        )
-
-    if args.jobs < 1:
-        raise CliError(f"--jobs must be >= 1, got {args.jobs}")
-    document = run_bench(
-        suite_names=args.suite,
-        smoke=args.smoke,
-        warmup=args.warmup,
-        repeat=args.repeat,
-        output=args.output,
-        progress=_progress,
-        jobs=args.jobs,
-        with_perf=not args.no_perf,
-    )
-    geomean = document.get("geomean_speedup_vs_slow_path")
-    if geomean is not None:
-        out.write(
-            f"geomean speedup {geomean:.1f}x over the slow-path oracle; "
-            f"results in {args.output}\n"
-        )
-    else:
-        out.write(f"results in {args.output}\n")
-    if not document["all_equivalent"]:
-        raise CliError(
-            "fast path diverged from the slow-path oracle "
-            "(see the MISMATCH suites above)"
-        )
-    return 0
-
-
 def _cmd_serve(args, out) -> int:
     if args.requests < 1:
         raise CliError(f"--requests must be >= 1, got {args.requests}")
@@ -645,242 +321,28 @@ def _cmd_serve(args, out) -> int:
     return 0
 
 
-def _cmd_loadgen(args, out) -> int:
-    if args.workers < 1:
-        raise CliError(f"--workers must be >= 1, got {args.workers}")
-    if args.max_batch < 1:
-        raise CliError(f"--max-batch must be >= 1, got {args.max_batch}")
-    if args.scale <= 0:
-        raise CliError(f"--scale must be positive, got {args.scale}")
-    out.write(
-        f"{'scenario':>18s} {'requests':>9s} {'p50 ms':>9s} {'p95 ms':>9s} "
-        f"{'p99 ms':>9s} {'req/s':>8s} {'reject':>7s} {'degraded':>9s}\n"
-    )
-
-    def _progress(record):
-        summary = record["summary"]
-        latency = summary["latency_ms"]
-
-        def ms(value):
-            return f"{value:9.3f}" if value is not None else f"{'n/a':>9s}"
-
-        out.write(
-            f"{record['name']:>18s} {record['requests']:9d} "
-            f"{ms(latency['p50'])} {ms(latency['p95'])} {ms(latency['p99'])} "
-            f"{summary['throughput_rps']:8.1f} "
-            f"{format_percent(summary['reject_rate']):>7s} "
-            f"{summary['degraded']:9d}\n"
-        )
-
+def _cmd_campaign(spec, args, out) -> int:
+    """Run one campaign; exit 0 when every verdict holds, else 1."""
     if args.jobs < 1:
         raise CliError(f"--jobs must be >= 1, got {args.jobs}")
-    document = run_serving_bench(
+    if spec.branch is not None:
+        code = spec.branch(args, out)
+        if code is not None:
+            return code
+    params = {
+        name: not args.slow_path if name == "fast_path" else getattr(args, name)
+        for name in spec.params
+    }
+    document = run_campaign(
+        spec,
         smoke=args.smoke,
-        seed=args.seed,
-        workers=args.workers,
-        max_batch=args.max_batch,
-        arrival=args.arrival,
-        scale=args.scale,
-        fast_path=not args.slow_path,
-        output=args.output,
-        progress=_progress,
-        jobs=args.jobs,
-        with_perf=not args.no_perf,
-    )
-    batching = document["batching"]
-    overload = next(
-        s["summary"] for s in document["scenarios"] if s["name"] == "overload"
-    )
-    stages = "  ".join(
-        f"{stage}={count}" for stage, count in overload["stage_counts"].items()
-    )
-    out.write(f"overload stage counts: {stages}\n")
-    out.write(
-        f"dynamic batching (max {batching['max_batch']}): "
-        f"{batching['batched_throughput_rps']:.1f} req/s vs "
-        f"{batching['batch1_throughput_rps']:.1f} req/s unbatched = "
-        f"{batching['speedup']:.2f}x throughput; results in {args.output}\n"
-    )
-    return 0
-
-
-def _cmd_chaos(args, out) -> int:
-    if args.workers < 1:
-        raise CliError(f"--workers must be >= 1, got {args.workers}")
-    if args.jobs < 1:
-        raise CliError(f"--jobs must be >= 1, got {args.jobs}")
-    out.write(
-        f"{'policy':>22s} {'fault':>6s} {'done':>5s} {'fail':>5s} {'rej':>5s} "
-        f"{'req/s':>8s} {'p99 ms':>9s} {'retry':>6s} {'hedge':>6s} "
-        f"{'opens':>6s} {'evict':>6s} {'lost':>5s} {'dup':>4s}\n"
-    )
-
-    def _progress(record):
-        summary = record["summary"]
-        p99 = summary["latency_ms"]["p99"]
-        p99_text = f"{p99:9.3f}" if p99 is not None else f"{'n/a':>9s}"
-        out.write(
-            f"{record['policy']:>22s} {record['fault_rate']:6.2f} "
-            f"{summary['completed']:5d} {summary['failed']:5d} "
-            f"{summary['rejected']:5d} {summary['goodput_rps']:8.1f} "
-            f"{p99_text} {summary['retries']:6d} {summary['hedges']:6d} "
-            f"{summary['breaker_opens']:6d} {summary['evictions']:6d} "
-            f"{summary['lost']:5d} {summary['duplicates']:4d}\n"
-        )
-
-    document = run_chaos_bench(
-        smoke=args.smoke,
-        root_seed=args.seed,
-        workers=args.workers,
-        fast_path=not args.slow_path,
         jobs=args.jobs,
         output=args.output,
         with_perf=not args.no_perf,
-        progress=_progress,
+        progress=out.write,
+        **params,
     )
-    verdicts = document["verdicts"]
-    dominance = document["dominance"]
-    out.write(
-        f"conservation: zero_lost={verdicts['zero_lost']} "
-        f"zero_duplicates={verdicts['zero_duplicates']}\n"
-    )
-    out.write(
-        f"dominance at fault rate {dominance['fault_rate']}: "
-        f"{dominance['full_stack_policy']} "
-        f"{dominance['full_stack_goodput_rps']:.1f} req/s vs "
-        f"{dominance['baseline_policy']} "
-        f"{dominance['baseline_goodput_rps']:.1f} req/s "
-        f"({'holds' if verdicts['dominance'] else 'FAILS'}); "
-        f"results in {args.output}\n"
-    )
-    return 0 if all(verdicts.values()) else 1
-
-
-def _cmd_fleet(args, out) -> int:
-    if args.jobs < 1:
-        raise CliError(f"--jobs must be >= 1, got {args.jobs}")
-    out.write(
-        f"{'scenario':>20s} {'offered':>8s} {'done':>5s} {'rej':>5s} "
-        f"{'good/s':>8s} {'p95 ms':>9s} {'peak':>5s} {'out':>4s} {'in':>4s} "
-        f"{'util':>5s}\n"
-    )
-
-    def _progress(record):
-        summary = record["summary"]
-        p95 = summary["latency_ms"]["p95"]
-        p95_text = f"{p95:9.3f}" if p95 is not None else f"{'n/a':>9s}"
-        out.write(
-            f"{record['name']:>20s} {summary['offered']:8d} "
-            f"{summary['completed']:5d} {summary['rejected']:5d} "
-            f"{record['goodput_rps']:8.1f} {p95_text} "
-            f"{record['peak_servers']:5d} {record['scale_outs']:4d} "
-            f"{record['scale_ins']:4d} {record['shard_utilization']:5.2f}\n"
-        )
-
-    document = run_fleet_bench(
-        smoke=args.smoke,
-        root_seed=args.seed,
-        fast_path=not args.slow_path,
-        jobs=args.jobs,
-        output=args.output,
-        capacity_source=args.capacity_source,
-        with_perf=not args.no_perf,
-        progress=_progress,
-    )
-    feed = document["capacity_feed"]
-    out.write(
-        f"capacity feed: {feed['server_capacity_rps']:.1f} req/s per server "
-        f"from {feed['source']} -> {feed['nominal_servers']} server(s) at "
-        f"{feed['nominal_rate_rps']:g} req/s offered\n"
-    )
-    verdicts = document["verdicts"]
-    dominance = document["dominance"]
-    speedup = dominance["speedup"]
-    speedup_text = f"{speedup:.2f}x" if speedup is not None else "n/a"
-    out.write(
-        f"goodput dominance: sharded fleet "
-        f"{dominance['sharded_goodput_rps']:.1f} req/s vs single chip "
-        f"{dominance['baseline_goodput_rps']:.1f} req/s ({speedup_text}, "
-        f"{'holds' if verdicts['goodput_dominance'] else 'FAILS'})\n"
-    )
-    out.write(
-        f"autoscale out observed: {verdicts['autoscale_out_observed']}  "
-        f"closed loop conserved: {verdicts['closed_loop_conserved']}; "
-        f"results in {args.output}\n"
-    )
-    return 0 if all(verdicts.values()) else 1
-
-
-def _cmd_dynamic(args, out) -> int:
-    if args.jobs < 1:
-        raise CliError(f"--jobs must be >= 1, got {args.jobs}")
-    out.write(
-        f"{'task':>20s} {'detail':>24s} {'best/good':>10s} {'drop':>7s} "
-        f"{'verdict':>8s}\n"
-    )
-
-    def _progress(record):
-        if record["kind"] == "pareto":
-            best = record["best"]
-            out.write(
-                f"{record['model']:>20s} "
-                f"{'tau=' + format(best['threshold'], 'g'):>24s} "
-                f"{best['cycle_reduction_vs_full']:9.2f}x "
-                f"{format_percent(best['mean_estimated_drop']):>7s} "
-                f"{'PASS' if record['pareto_win'] else 'miss':>8s}\n"
-            )
-        elif record["kind"] == "parity":
-            models = ", ".join(m["model"] for m in record["models"])
-            out.write(
-                f"{'static parity':>20s} {models:>24s} {'':>10s} {'':>7s} "
-                f"{'PASS' if record['static_parity'] else 'FAIL':>8s}\n"
-            )
-        else:
-            summary = record["summary"]
-            done = f"{summary['completed']}/{summary['offered']} done"
-            out.write(
-                f"{record['name']:>20s} {done:>24s} "
-                f"{record['goodput_rps']:9.1f}r "
-                f"{format_percent(record['mean_quality_drop']):>7s} "
-                f"{'':>8s}\n"
-            )
-
-    document = run_dynamic_bench(
-        smoke=args.smoke,
-        root_seed=args.seed,
-        fast_path=not args.slow_path,
-        jobs=args.jobs,
-        output=args.output,
-        with_perf=not args.no_perf,
-        progress=_progress,
-    )
-    best = document["best_tradeoff"]
-    out.write(
-        f"best tradeoff: {best['model']} at threshold "
-        f"{best['threshold']:g} -> {best['cycle_reduction_vs_full']:.2f}x "
-        f"cycles at {format_percent(best['mean_estimated_drop'])} estimated "
-        f"accuracy drop\n"
-    )
-    verdicts = document["verdicts"]
-    dominance = document["dominance"]
-    gain = dominance["gain"]
-    gain_text = f"{gain:.2f}x" if gain is not None else "n/a"
-    out.write(
-        f"overload goodput: quality-aware "
-        f"{dominance['quality_goodput_rps']:.1f} req/s vs ladder-only "
-        f"{dominance['ladder_goodput_rps']:.1f} req/s ({gain_text}, "
-        f"{'holds' if verdicts['goodput_dominance'] else 'FAILS'}) at "
-        f"{format_percent(dominance['quality_mean_drop'])} mean estimated "
-        f"drop\n"
-    )
-    out.write(
-        f"pareto win: {verdicts['pareto_win']}  "
-        f"static parity: {verdicts['static_parity']}  "
-        f"threshold monotone: {verdicts['threshold_monotone']}  "
-        f"quality bounded: {verdicts['quality_bounded']}; "
-        f"results in {args.output}\n"
-    )
-    return 0 if all(verdicts.values()) else 1
+    return 0 if all(spec.verdicts(document).values()) else 1
 
 
 _COMMANDS = {
@@ -889,14 +351,12 @@ _COMMANDS = {
     "stages": _cmd_stages,
     "compare": _cmd_compare,
     "area": _cmd_area,
-    "faults": _cmd_faults,
-    "bench": _cmd_bench,
     "serve": _cmd_serve,
-    "loadgen": _cmd_loadgen,
-    "chaos": _cmd_chaos,
-    "fleet": _cmd_fleet,
-    "dynamic": _cmd_dynamic,
     "lint": cmd_lint,
+    **{
+        name: functools.partial(_cmd_campaign, spec)
+        for name, spec in BENCH_CAMPAIGNS.items()
+    },
 }
 
 

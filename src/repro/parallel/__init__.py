@@ -7,7 +7,6 @@ from repro.parallel.engine import (
     preferred_start_method,
     run_sharded,
     spawn_task_seeds,
-    warm_cache,
 )
 
 __all__ = [
@@ -17,5 +16,4 @@ __all__ = [
     "preferred_start_method",
     "run_sharded",
     "spawn_task_seeds",
-    "warm_cache",
 ]

@@ -16,8 +16,9 @@ pattern every driver shares:
    count or completion order.
 2. **Sharding**: :func:`run_sharded` executes the list inline
    (``jobs=1``) or across a ``ProcessPoolExecutor``.  The ``fork``
-   start method is preferred where available so workers inherit warmed
-   module state (memo caches, imported models) instead of re-importing.
+   start method is preferred where available so workers inherit the
+   parent's imported modules instead of re-importing them.  No task runs
+   in the parent first: every task runs in the pool.
 3. **Merge**: results are keyed by task index and returned sorted by
    it.  Completion order -- which *does* vary with scheduling -- never
    reaches the caller, so ``--jobs 1`` and ``--jobs N`` merge to the
@@ -44,7 +45,6 @@ __all__ = [
     "ShardedRun",
     "spawn_task_seeds",
     "run_sharded",
-    "warm_cache",
     "merge_counters",
     "preferred_start_method",
 ]
@@ -100,8 +100,6 @@ class ShardedRun:
         cpu_count: ``os.cpu_count()`` on the machine that ran the shard.
         start_method: multiprocessing start method used ("inline" when
             ``jobs=1``).
-        stats: summed per-task deltas of the injected ``stats`` counter
-            snapshot (e.g. cache hit/miss counters), or ``{}``.
     """
 
     results: list
@@ -111,7 +109,6 @@ class ShardedRun:
     worker_busy_s: float
     cpu_count: int
     start_method: str
-    stats: dict = field(default_factory=dict)
 
     @property
     def worker_efficiency(self) -> float:
@@ -131,10 +128,8 @@ class ShardedRun:
 def merge_counters(into: dict, delta: dict) -> dict:
     """Sum ``delta``'s numeric leaves into ``into`` (recursively).
 
-    Used to aggregate per-task stats snapshots across workers.  Counter
-    leaves (hits, misses, evictions) sum exactly; gauge leaves (entry
-    counts) sum too -- read them as totals-across-workers, not as the
-    size of any one process's cache.
+    Aggregates nested per-task counter dicts across workers; non-numeric
+    leaves are overwritten by ``delta``'s value.
     """
     for key, value in delta.items():
         if isinstance(value, dict):
@@ -149,8 +144,8 @@ def merge_counters(into: dict, delta: dict) -> dict:
 def preferred_start_method() -> str:
     """``fork`` where the platform offers it, else ``spawn``.
 
-    Forked workers inherit warmed module state -- imported models, memo
-    caches, tuned thresholds -- so the per-worker ramp-up cost is near
+    Forked workers inherit the parent's module state -- imported models
+    and whatever its memos hold -- so the per-worker ramp-up cost is near
     zero; ``spawn`` re-imports everything and is only used where fork
     is unavailable (Windows, some macOS configurations).
     """
@@ -158,77 +153,25 @@ def preferred_start_method() -> str:
     return "fork" if "fork" in methods else "spawn"
 
 
-def _diff_counters(before: dict, after: dict) -> dict:
-    """Per-leaf ``after - before`` for two counter snapshots."""
-    out: dict = {}
-    for key, value in after.items():
-        prev = before.get(key)
-        if isinstance(value, dict):
-            out[key] = _diff_counters(prev if isinstance(prev, dict) else {}, value)
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            out[key] = value - (prev if isinstance(prev, (int, float)) else 0)
-        else:
-            out[key] = value
-    return out
-
-
 def _execute_task(
-    fn: Callable[..., Any],
-    kwargs: dict,
-    clock: Callable[[], float] | None,
-    stats: Callable[[], dict] | None,
-) -> tuple[Any, float, dict]:
-    """Worker-side wrapper: run one task, measure it, snapshot stats.
+    fn: Callable[..., Any], kwargs: dict, clock: Callable[[], float] | None
+) -> tuple[Any, float]:
+    """Worker-side wrapper: run one task and measure it.
 
-    Returns ``(result, busy_seconds, stats_delta)``.  Runs in the worker
-    process (or inline for ``jobs=1``); must stay a module-level
-    function so it pickles under every start method.
+    Returns ``(result, busy_seconds)``.  Runs in the worker process (or
+    inline for ``jobs=1``); must stay a module-level function so it
+    pickles under every start method.
     """
-    before_stats = stats() if stats is not None else {}
     start = clock() if clock is not None else 0.0
     result = fn(**kwargs)
     busy = (clock() - start) if clock is not None else 0.0
-    delta = (
-        _diff_counters(before_stats, stats())
-        if stats is not None
-        else {}
-    )
-    return result, busy, delta
-
-
-def warm_cache(
-    tasks: list[CampaignTask],
-    clock: Callable[[], float] | None = None,
-    stats: Callable[[], dict] | None = None,
-) -> tuple[CampaignTask | None, Any, float, dict]:
-    """Pre-seed shared caches by running the lowest-index task inline.
-
-    :func:`run_sharded` calls this in the parent process before forking
-    the pool.  Executing one representative cell up front populates both
-    the in-process memo caches -- inherited for free by ``fork`` workers
-    -- and the persistent disk tier (:mod:`repro.core.cache`), so
-    ``spawn``-start platforms do not pay cold im2col / threshold-tuning
-    misses in every worker simultaneously.  The warm task is a real cell
-    of the campaign: its result is merged like any other, never
-    recomputed.
-
-    Returns:
-        ``(task, result, busy_seconds, stats_delta)``; ``task`` is
-        ``None`` when the work-list is empty.
-    """
-    if not tasks:
-        return None, None, 0.0, {}
-    task = min(tasks, key=lambda t: t.index)
-    result, busy, delta = _execute_task(task.fn, task.kwargs, clock, stats)
-    return task, result, busy, delta
+    return result, busy
 
 
 def run_sharded(
     tasks: list[CampaignTask],
     jobs: int = 1,
     clock: Callable[[], float] | None = None,
-    stats: Callable[[], dict] | None = None,
-    warm: bool = True,
 ) -> ShardedRun:
     """Execute a campaign work-list across ``jobs`` worker processes.
 
@@ -241,14 +184,6 @@ def run_sharded(
             ``time.perf_counter``) used for wall and per-task busy
             times; must be picklable when ``jobs > 1``.  ``None``
             reports all times as 0.0.
-        stats: optional picklable zero-arg callable returning a nested
-            ``{str: number | dict}`` counter snapshot; per-task deltas
-            are summed into :attr:`ShardedRun.stats`.
-        warm: when sharding across a pool, first run the lowest-index
-            task inline via :func:`warm_cache` so shared caches (memo
-            tiers under ``fork``, the persistent disk tier under
-            ``spawn``) are seeded before workers start.  Results are
-            identical either way; only wall-clock timing differs.
 
     Returns:
         A :class:`ShardedRun`; ``results[i]`` belongs to the task with
@@ -263,42 +198,30 @@ def run_sharded(
     wall_start = clock() if clock is not None else 0.0
     by_index: dict[int, Any] = {}
     busy_total = 0.0
-    stat_totals: dict = {}
 
     if jobs == 1 or len(tasks) <= 1:
         start_method = "inline"
         for task in tasks:
-            result, busy, delta = _execute_task(task.fn, task.kwargs, clock, stats)
-            by_index[task.index] = result
+            by_index[task.index], busy = _execute_task(task.fn, task.kwargs, clock)
             busy_total += busy
-            merge_counters(stat_totals, delta)
         jobs_used = 1
     else:
-        sharded = tasks
-        if warm:
-            warm_task, result, busy, delta = warm_cache(tasks, clock, stats)
-            by_index[warm_task.index] = result
-            busy_total += busy
-            merge_counters(stat_totals, delta)
-            sharded = [t for t in tasks if t.index != warm_task.index]
         start_method = preferred_start_method()
         context = multiprocessing.get_context(start_method)
         jobs_used = min(jobs, len(tasks))
         with ProcessPoolExecutor(
-            max_workers=min(jobs, len(sharded)), mp_context=context
+            max_workers=jobs_used, mp_context=context
         ) as pool:
             pending = {
-                pool.submit(_execute_task, task.fn, task.kwargs, clock, stats): task
-                for task in sharded
+                pool.submit(_execute_task, task.fn, task.kwargs, clock): task
+                for task in tasks
             }
             while pending:
                 done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
                 for future in done:
                     task = pending.pop(future)
-                    result, busy, delta = future.result()
-                    by_index[task.index] = result
+                    by_index[task.index], busy = future.result()
                     busy_total += busy
-                    merge_counters(stat_totals, delta)
 
     wall = (clock() - wall_start) if clock is not None else 0.0
     return ShardedRun(
@@ -309,5 +232,4 @@ def run_sharded(
         worker_busy_s=busy_total,
         cpu_count=os.cpu_count() or 1,
         start_method=start_method,
-        stats=stat_totals,
     )

@@ -8,6 +8,7 @@ from repro.bench.document import (
     NONDETERMINISTIC_KEYS,
     append_history,
     deterministic_view,
+    first_diff,
     history_entry,
     perf_block,
     write_document,
@@ -19,7 +20,7 @@ from repro.parallel import ShardedRun
 def _run(**overrides):
     base = dict(
         results=[], jobs=2, tasks=4, wall_s=2.0, worker_busy_s=3.0,
-        cpu_count=8, start_method="fork", stats={"disk": {"hits": 5}},
+        cpu_count=8, start_method="fork",
     )
     base.update(overrides)
     return ShardedRun(**base)
@@ -55,14 +56,29 @@ class TestDeterministicView:
         }
 
 
+class TestFirstDiff:
+    def test_equal_values_have_no_diff(self):
+        assert first_diff({"a": [1, (2, 3)]}, {"a": [1, (2, 3)]}) is None
+
+    def test_paths_name_the_first_differing_leaf(self):
+        assert first_diff({"a": [1, 2]}, {"a": [1, 3]}) == "$.a[1]"
+        assert first_diff({"a": 1}, {"b": 1}) == "$"
+        assert first_diff([1], [1, 2]) == "$"
+        assert first_diff(1, 1.0) == "$"
+
+    def test_tuples_are_walked_like_lists(self):
+        assert first_diff((1, (2, 3)), (1, (2, 4))) == "$[1][1]"
+
+
 class TestPerfBlock:
     def test_renders_sharded_run(self):
         perf = perf_block(_run())
         assert perf["jobs"] == 2 and perf["tasks"] == 4
         assert perf["worker_efficiency"] == pytest.approx(3.0 / 4.0)
         assert perf["speedup_vs_serial_est"] == pytest.approx(1.5)
-        assert perf["cache"] == {"disk": {"hits": 5}}
         assert perf["start_method"] == "fork"
+        # no campaign cell touches repro.core.cache: no cache block
+        assert "cache" not in perf
 
 
 class TestHistory:

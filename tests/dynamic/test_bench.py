@@ -11,11 +11,12 @@ import pytest
 
 from repro.analysis.schema import validate_schema
 from repro.bench import (
+    BENCH_CAMPAIGNS,
     DYNAMIC_SCHEMA,
     deterministic_view,
     dynamic_scenarios,
     exit_thresholds,
-    run_dynamic_bench,
+    run_campaign,
 )
 from repro.bench import dynamic as bench_dynamic
 
@@ -28,7 +29,10 @@ def document(tmp_path_factory):
     patch.setattr(bench_dynamic, "_N_REQUESTS_SMOKE", 60)
     output = tmp_path_factory.mktemp("dynamic") / "BENCH_dynamic.json"
     try:
-        yield run_dynamic_bench(smoke=True, output=output), output
+        document = run_campaign(
+            BENCH_CAMPAIGNS["dynamic"], smoke=True, output=output
+        )
+        yield document, output
     finally:
         patch.undo()
 

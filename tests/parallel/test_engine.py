@@ -7,6 +7,7 @@ completion order.
 """
 
 import multiprocessing
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,6 @@ from repro.parallel import (
     preferred_start_method,
     run_sharded,
     spawn_task_seeds,
-    warm_cache,
 )
 
 # ---------------------------------------------------------------------------
@@ -34,16 +34,8 @@ def _tag(index, seed):
     return {"index": index, "seed": seed}
 
 
-_CALLS = {"n": 0}
-
-
-def _counting_task():
-    _CALLS["n"] += 1
-    return _CALLS["n"]
-
-
-def _calls_snapshot():
-    return {"calls": _CALLS["n"], "nested": {"calls": _CALLS["n"]}}
+def _pid():
+    return os.getpid()
 
 
 class TestSpawnTaskSeeds:
@@ -125,15 +117,6 @@ class TestRunShardedInline:
         )
         assert run.wall_s == 0.0 and run.worker_busy_s == 0.0
 
-    def test_stats_deltas_are_summed(self):
-        _CALLS["n"] = 100  # nonzero baseline: deltas, not absolutes
-        tasks = [
-            CampaignTask(index=i, fn=_counting_task) for i in range(3)
-        ]
-        run = run_sharded(tasks, jobs=1, stats=_calls_snapshot)
-        assert run.stats == {"calls": 3, "nested": {"calls": 3}}
-
-
 class TestRunShardedPool:
     def test_jobs_do_not_change_results(self):
         seeds = spawn_task_seeds(0, 6)
@@ -155,6 +138,12 @@ class TestRunShardedPool:
         run = run_sharded(tasks, jobs=8)
         assert run.jobs == 2
         assert run.results == [0, 1]
+
+    def test_every_task_runs_in_the_pool(self):
+        """No task runs in the parent before the pool starts."""
+        tasks = [CampaignTask(index=i, fn=_pid) for i in range(4)]
+        run = run_sharded(tasks, jobs=2)
+        assert os.getpid() not in run.results
 
     def test_preferred_start_method_is_available(self):
         assert (
@@ -179,38 +168,3 @@ class TestShardedRunMetrics:
         )
         assert run.worker_efficiency == 0.0
         assert run.speedup_vs_serial_est == 0.0
-
-
-class TestWarmCache:
-    def test_runs_lowest_index_task_inline(self):
-        tasks = [
-            CampaignTask(index=i, fn=_square, kwargs={"x": i})
-            for i in (3, 1, 2)
-        ]
-        warm_task, result, busy, delta = warm_cache(tasks)
-        assert warm_task.index == 1
-        assert result == 1
-        assert busy == 0.0
-        assert delta == {}
-
-    def test_empty_work_list(self):
-        assert warm_cache([]) == (None, None, 0.0, {})
-
-    def test_injected_clock_and_stats(self):
-        clock = iter([1.0, 3.5]).__next__
-        stats = lambda: {"hits": _CALLS["n"]}  # noqa: E731
-        tasks = [CampaignTask(index=0, fn=_counting_task, kwargs={})]
-        _, result, busy, delta = warm_cache(tasks, clock=clock, stats=stats)
-        assert busy == pytest.approx(2.5)
-        assert delta == {"hits": 1}
-
-    def test_pool_results_identical_with_and_without_warming(self):
-        seeds = spawn_task_seeds(7, 5)
-        tasks = [
-            CampaignTask(index=i, fn=_tag, kwargs={"index": i, "seed": s})
-            for i, s in enumerate(seeds)
-        ]
-        warmed = run_sharded(tasks, jobs=2, warm=True)
-        cold = run_sharded(tasks, jobs=2, warm=False)
-        assert warmed.results == cold.results
-        assert warmed.jobs == cold.jobs == 2

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.faults import run_fault_matrix
+from repro.bench import BENCH_CAMPAIGNS, run_campaign
 from repro.reliability.faults import CAMPAIGNS, DramFaultStream
 from repro.reliability.runner import GuardSettings, run_fault_campaign
 from repro.sim.config import DuetConfig
@@ -113,8 +113,9 @@ class TestShardedMatrixDeterminism:
         matrices once the perf/history blocks are omitted."""
         paths = [tmp_path / "j1.json", tmp_path / "j2.json"]
         documents = [
-            run_fault_matrix(
-                smoke=True, jobs=jobs, output=path, with_perf=False
+            run_campaign(
+                BENCH_CAMPAIGNS["faults"], smoke=True, jobs=jobs, output=path,
+                with_perf=False,
             )
             for jobs, path in zip((1, 2), paths)
         ]
@@ -126,6 +127,7 @@ class TestShardedMatrixDeterminism:
         assert "perf" not in document and "history" not in document
 
     def test_root_seed_changes_cells(self, tmp_path):
-        a = run_fault_matrix(smoke=True, root_seed=0, output=None, with_perf=False)
-        b = run_fault_matrix(smoke=True, root_seed=1, output=None, with_perf=False)
+        kwargs = dict(smoke=True, with_perf=False)
+        a = run_campaign(BENCH_CAMPAIGNS["faults"], seed=0, **kwargs)
+        b = run_campaign(BENCH_CAMPAIGNS["faults"], seed=1, **kwargs)
         assert [c["seed"] for c in a["cells"]] != [c["seed"] for c in b["cells"]]

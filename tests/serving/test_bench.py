@@ -9,18 +9,23 @@ import json
 import pytest
 
 from repro.bench import (
+    BENCH_CAMPAIGNS,
     SERVE_SCHEMA,
     deterministic_view,
-    run_serving_bench,
+    run_campaign,
     serve_scenarios,
 )
 
 SMALL = dict(smoke=True, seed=0, scale=0.02, output=None)
 
 
+def _run(**kwargs):
+    return run_campaign(BENCH_CAMPAIGNS["loadgen"], **kwargs)
+
+
 @pytest.fixture(scope="module")
 def document():
-    return run_serving_bench(**SMALL)
+    return _run(**SMALL)
 
 
 class TestScenarios:
@@ -101,7 +106,7 @@ class TestDeterminism:
         block and ``history`` trail (wall clocks) may differ between
         reruns, which is exactly what ``deterministic_view`` strips."""
         path = tmp_path / "BENCH_serving.json"
-        rerun = run_serving_bench(**{**SMALL, "output": path})
+        rerun = _run(**{**SMALL, "output": path})
         assert json.dumps(
             deterministic_view(rerun), sort_keys=True
         ) == json.dumps(deterministic_view(document), sort_keys=True)
@@ -112,8 +117,8 @@ class TestDeterminism:
         """Under ``with_perf=False`` nothing non-deterministic remains:
         two runs (any worker count) write byte-identical files."""
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        run_serving_bench(**{**SMALL, "output": a, "with_perf": False})
-        run_serving_bench(
+        _run(**{**SMALL, "output": a, "with_perf": False})
+        _run(
             **{**SMALL, "output": b, "with_perf": False, "jobs": 2}
         )
         assert a.read_bytes() == b.read_bytes()
@@ -122,14 +127,14 @@ class TestDeterminism:
         """duet-serve/1 metrics agree between the vectorized fast path
         and the per-event slow-path oracle (memory-bound mix keeps the
         slow arm cheap)."""
-        fast = run_serving_bench(**SMALL, fast_path=True)
-        slow = run_serving_bench(**SMALL, fast_path=False)
+        fast = _run(**SMALL, fast_path=True)
+        slow = _run(**SMALL, fast_path=False)
         for f, s in zip(fast["scenarios"], slow["scenarios"]):
             assert f["summary"] == s["summary"], f["name"]
             assert f["max_queue_depth_seen"] == s["max_queue_depth_seen"]
 
     def test_seed_changes_trace(self, document):
-        other = run_serving_bench(**{**SMALL, "seed": 1})
+        other = _run(**{**SMALL, "seed": 1})
         assert (
             other["scenarios"][0]["summary"]
             != document["scenarios"][0]["summary"]

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bench.chaos import run_chaos_bench
+from repro.bench import BENCH_CAMPAIGNS, run_campaign
 from repro.dynamic.executor import DynamicBatchExecutor, DynamicShardedExecutor
 from repro.reliability.workerfaults import WorkerFaultModel
 from repro.serving import (
@@ -404,8 +404,8 @@ class TestRecoveryMechanisms:
 
 class TestChaosBenchCampaign:
     def test_smoke_document_verdicts_and_shape(self):
-        document = run_chaos_bench(
-            smoke=True, root_seed=0, jobs=1, output=None, with_perf=False
+        document = run_campaign(
+            BENCH_CAMPAIGNS["chaos"], smoke=True, seed=0, jobs=1, with_perf=False
         )
         assert document["schema"] == "duet-chaos/1"
         assert document["verdicts"]["zero_lost"]
@@ -416,9 +416,9 @@ class TestChaosBenchCampaign:
         ]
 
     def test_jobs_do_not_change_the_document(self):
-        kwargs = dict(smoke=True, root_seed=0, output=None, with_perf=False)
-        serial = run_chaos_bench(jobs=1, **kwargs)
-        sharded = run_chaos_bench(jobs=2, **kwargs)
+        kwargs = dict(smoke=True, seed=0, with_perf=False)
+        serial = run_campaign(BENCH_CAMPAIGNS["chaos"], jobs=1, **kwargs)
+        sharded = run_campaign(BENCH_CAMPAIGNS["chaos"], jobs=2, **kwargs)
         assert json.dumps(serial, sort_keys=True) == json.dumps(
             sharded, sort_keys=True
         )

@@ -10,7 +10,8 @@ import json
 
 import pytest
 
-from repro.bench.fleet import run_fleet_bench, serving_capacity_rps
+from repro.bench import BENCH_CAMPAIGNS, run_campaign
+from repro.bench.fleet import serving_capacity_rps
 
 from repro.serving import (
     AdmissionConfig,
@@ -254,8 +255,8 @@ class TestFleetSimulation:
 
 class TestFleetBenchCampaign:
     def test_smoke_document_verdicts_and_shape(self):
-        document = run_fleet_bench(
-            smoke=True, root_seed=0, jobs=1, output=None, with_perf=False
+        document = run_campaign(
+            BENCH_CAMPAIGNS["fleet"], smoke=True, seed=0, jobs=1, with_perf=False
         )
         assert document["schema"] == "duet-fleet/1"
         assert document["verdicts"]["goodput_dominance"]
@@ -271,9 +272,9 @@ class TestFleetBenchCampaign:
         assert document["capacity_feed"]["server_capacity_rps"] > 0
 
     def test_jobs_do_not_change_the_document(self):
-        kwargs = dict(smoke=True, root_seed=0, output=None, with_perf=False)
-        serial = run_fleet_bench(jobs=1, **kwargs)
-        sharded = run_fleet_bench(jobs=2, **kwargs)
+        kwargs = dict(smoke=True, seed=0, with_perf=False)
+        serial = run_campaign(BENCH_CAMPAIGNS["fleet"], jobs=1, **kwargs)
+        sharded = run_campaign(BENCH_CAMPAIGNS["fleet"], jobs=2, **kwargs)
         assert json.dumps(serial, sort_keys=True) == json.dumps(
             sharded, sort_keys=True
         )

@@ -36,30 +36,7 @@ from pathlib import Path
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(_REPO_ROOT / "src"))
 
-from repro.bench.document import deterministic_view  # noqa: E402
-
-
-def _first_diff(a, b, path: str = "$") -> str | None:
-    """Path of the first differing leaf between two JSON values."""
-    if type(a) is not type(b):
-        return path
-    if isinstance(a, dict):
-        if sorted(a) != sorted(b):
-            return path
-        for key in a:
-            diff = _first_diff(a[key], b[key], f"{path}.{key}")
-            if diff is not None:
-                return diff
-        return None
-    if isinstance(a, list):
-        if len(a) != len(b):
-            return path
-        for i, (x, y) in enumerate(zip(a, b)):
-            diff = _first_diff(x, y, f"{path}[{i}]")
-            if diff is not None:
-                return diff
-        return None
-    return None if a == b else path
+from repro.bench.document import deterministic_view, first_diff  # noqa: E402
 
 
 def _cell_label(record: dict) -> str:
@@ -176,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: cannot read {name}: {exc}", file=sys.stderr)
             return 2
     views = [deterministic_view(d) for d in documents]
-    diff = _first_diff(*views)
+    diff = first_diff(*views)
     if diff is not None:
         print(f"documents differ at {diff} (after stripping perf/history)")
         schema = documents[0].get("schema")
